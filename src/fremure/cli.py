@@ -185,6 +185,9 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
 # output helpers
 # ---------------------------------------------------------------------------
 
+_WRITE_CHUNK = 1 << 20      # characters of JSON text encoded at a time
+
+
 def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -193,11 +196,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: str, doc) -> str:
-    body = _canonical(doc) + "\n"
-    with open(path, "w") as fh:
-        fh.write(body)
-    return _sha256(body.encode())
+def _write_json(path: str, doc):
+    # a checkpoint's text is megabytes: encode and write it a chunk at a
+    # time instead of holding whole copies of it
+    text = _canonical(doc)
+    with open(path, "wb") as fh:
+        for i in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[i:i + _WRITE_CHUNK].encode())
+        fh.write(b"\n")
 
 
 def _file_sha(path: str) -> str:
@@ -321,27 +327,31 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
     _write_manifest(exp.out, "train", exp,
                     {"k": list(tcfg.ks), "constraint": tcfg.constraint}, files)
 
-    scores = evaluate(model, test_records, tcfg.ks, tcfg.constraint, seed=exp.seed)
+    if history:
+        # the last epoch's validation scored this model on these records
+        # with this seed
+        last = history[-1]
+        scores = {"mean_recall": {k: last[f"mR@{k}"] for k in tcfg.ks},
+                  "recall": {k: last[f"R@{k}"] for k in tcfg.ks}}
+    else:
+        scores = evaluate(model, test_records, tcfg.ks, tcfg.constraint,
+                          seed=exp.seed)
     print(f"final  {_mr_table(scores, tcfg.ks)}")
     return EXIT_OK
 
 
-def _uncertainty_rows(model: FremureModel, clips, seed: int) -> list:
-    """Per-record aleatoric/epistemic numbers for each task head."""
+def _uncertainty_rows(clips, uncertainty: dict) -> list:
+    """Per-record aleatoric/epistemic numbers for each task head, from the
+    values `evaluate` kept for the records of `clips` in order."""
     rows = []
-    root = nc.Rng(seed)
-    with nc.no_grad():
-        for ci, clip in enumerate(clips):
-            out = model.forward(clip, root.spawn(ci), training=False)
-            reports = out["reports"]
-            for i, rec in enumerate(clip):
-                row = {"clip": rec.clip, "frame": rec.frame,
-                       "subj": rec.subj, "obj": rec.obj}
-                for t in TYPES:
-                    rep = reports[t]
-                    row[f"{t}_aleatoric"] = float(rep.aleatoric_rows[i])
-                    row[f"{t}_epistemic"] = float(rep.epistemic_rows[i])
-                rows.append(row)
+    records = (rec for clip in clips for rec in clip)
+    for i, rec in enumerate(records):
+        row = {"clip": rec.clip, "frame": rec.frame,
+               "subj": rec.subj, "obj": rec.obj}
+        for t in TYPES:
+            row[f"{t}_aleatoric"] = uncertainty[f"{t}_aleatoric"][i]
+            row[f"{t}_epistemic"] = uncertainty[f"{t}_epistemic"][i]
+        rows.append(row)
     return rows
 
 
@@ -376,7 +386,7 @@ def cmd_eval(args) -> int:
     csv_path = os.path.join(args.out, "eval_report.csv")
     _write_csv(csv_path, header, csv_rows)
 
-    samples = _uncertainty_rows(model, group_clips(records), args.seed)
+    samples = _uncertainty_rows(group_clips(records), scores["uncertainty"])
     samples_path = os.path.join(args.out, "eval_samples.jsonl")
     with open(samples_path, "w") as fh:
         for row in samples:
@@ -399,12 +409,10 @@ def _ablate_one(payload: dict) -> dict:
         model=ModelConfig.from_json(payload["model"]),
         train=TrainConfig(**payload["train"]),
     )
-    records = read_jsonl(payload["train_path"])
-    test_records = read_jsonl(payload["test_path"])
     tcfg = replace(exp.train, ks=tuple(payload["ks"]),
                    constraint=payload["constraint"])
-    model, _ = train(records, exp.model, tcfg, payload["seed"])
-    scores = evaluate(model, test_records, tcfg.ks, tcfg.constraint,
+    model, _ = train(payload["train_records"], exp.model, tcfg, payload["seed"])
+    scores = evaluate(model, payload["test_records"], tcfg.ks, tcfg.constraint,
                       seed=payload["seed"])
     return {"variant": payload["variant"], "seed": payload["seed"],
             "mean_recall": {str(k): scores["mean_recall"][k] for k in tcfg.ks},
@@ -432,6 +440,8 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
     if unknown:
         raise ConfigError([f"unknown variant '{v}'" for v in unknown])
     seeds = [exp.seed + i for i in range(args.seeds_per_variant)]
+    records = read_jsonl(train_path)
+    test_records = read_jsonl(test_path)
 
     jobs = []
     for variant in args.variants:
@@ -445,7 +455,7 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
                                    for f in fields(TrainConfig)
                                    if f.name not in ("ks", "constraint")},
                          "ks": list(args.k), "constraint": args.constraint,
-                         "train_path": train_path, "test_path": test_path})
+                         "train_records": records, "test_records": test_records})
 
     workers = _worker_count(len(jobs))
     if workers > 1:

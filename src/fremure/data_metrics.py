@@ -8,9 +8,9 @@ label flip injects irreducible label noise. Everything is driven by one
 seeded counter generator, so a (config, seed) pair fixes the dataset bytes.
 
 Evaluation ranks (pair, predicate) entries per frame by score with
-deterministic tie-breaking and reports R@K, per-class recall, mR@K, and
-head/tail bucket summaries. Ground-truth pairs are given (no detection), and
-the triplet score is the predicate probability.
+deterministic tie-breaking, once for every K, and reports R@K, per-class
+recall, mR@K, and head/tail bucket summaries. Ground-truth pairs are given
+(no detection), and the triplet score is the predicate probability.
 """
 
 from __future__ import annotations
@@ -207,63 +207,114 @@ def generate_dataset(cfg: SyntheticConfig, seed: int):
 # ranking and recall
 # ---------------------------------------------------------------------------
 
-def _ranked_triplets(entries, k: int, constraint: bool, class_types) -> list:
-    """Top-k (subj, obj, cls) by score descending; ties broken by ascending
-    class index, then subject, then object. With the constraint on, only the
-    best-scoring predicate per (pair, type) survives into the ranking."""
-    order = sorted(entries, key=lambda e: (-e[3], e[2], e[0], e[1]))
+def _group_starts(*cols) -> np.ndarray:
+    """For rows sorted so that equal rows are adjacent, the index of the first
+    row of each row's run of equal values over `cols`."""
+    new = np.zeros(cols[0].size, dtype=bool)
+    new[:1] = True
+    for col in cols:
+        new[1:] |= col[1:] != col[:-1]
+    return np.maximum.accumulate(np.where(new, np.arange(new.size), 0))
+
+
+def _truth_ranks(entries: np.ndarray, scores: np.ndarray, truth: np.ndarray,
+                 constraint: bool = False, class_types=None) -> np.ndarray:
+    """Rank inside its frame (0 is the top) of each truth triplet.
+
+    `entries` rows are (frame, subj, obj, cls) with `scores` alongside;
+    `truth` rows are (frame, subj, obj, cls). Every frame is ranked at once
+    by score descending, ties broken by ascending class, then subject, then
+    object. With the constraint on, only the first-ranked predicate of each
+    (frame, subj, obj, relation type) slot keeps a place. A truth triplet
+    that is never scored, or whose slot went to another predicate, ranks
+    at infinity, so it is missed at every K."""
+    f, s, o, c = entries.T
+    order = np.lexsort((o, s, c, -scores, f))
     if constraint:
-        seen = set()
-        kept = []
-        for s, o, c, score in order:
-            slot = (s, o, 0 if class_types is None else int(class_types[c]))
-            if slot in seen:
-                continue
-            seen.add(slot)
-            kept.append((s, o, c, score))
-        order = kept
-    return [(s, o, c) for s, o, c, _ in order[:k]]
+        types = np.zeros_like(c) if class_types is None \
+            else np.asarray(class_types, dtype=np.int64)[c]
+        # stable sort by slot keeps rank order inside each slot
+        by_slot = np.lexsort((types[order], o[order], s[order], f[order]))
+        slot_cols = [x[order][by_slot] for x in (f, s, o, types)]
+        first = _group_starts(*slot_cols) == np.arange(by_slot.size)
+        order = order[np.sort(by_slot[first])]
+    ranked_f = f[order]
+    pos = np.arange(order.size) - np.searchsorted(ranked_f, ranked_f)
+
+    # a triplet scored more than once takes its best place: sort ranked
+    # entries and truth rows together by triplet, then by rank
+    cols = [np.concatenate([x[order], truth[:, j]])
+            for j, x in enumerate((f, s, o, c))]
+    rank = np.concatenate([pos.astype(np.float64), np.full(len(truth), np.inf)])
+    by_triplet = np.lexsort((rank, cols[3], cols[2], cols[1], cols[0]))
+    starts = _group_starts(*(col[by_triplet] for col in cols))
+    best = np.empty_like(rank)
+    best[by_triplet] = rank[by_triplet][starts]
+    return best[order.size:]
+
+
+def rank_recalls(entries: np.ndarray, scores: np.ndarray, truth: np.ndarray,
+                 ks, constraint: bool = False, class_types=None) -> dict:
+    """R@K, mR@K and the per-class recall table for every K in `ks`, from one
+    ranking of every frame (see `_truth_ranks` for the arrays and the order).
+
+    R@K is the mean over frames with truth of (truth triplets in the top K) /
+    (truth triplets of that frame). Per-class recall pools every frame's
+    truth, and mR@K is its unweighted mean over the classes that occur in the
+    truth. Repeated truth rows of one frame count once."""
+    if any(k <= 0 for k in ks):
+        raise ContractError("K must be positive")
+    truth = np.unique(np.asarray(truth, dtype=np.int64).reshape(-1, 4), axis=0)
+    if not truth.size:
+        raise ContractError("ground truth is empty")
+    ranks = _truth_ranks(np.asarray(entries, dtype=np.int64).reshape(-1, 4),
+                        np.asarray(scores, dtype=np.float64), truth,
+                        constraint, class_types)
+    _, frame_of = np.unique(truth[:, 0], return_inverse=True)
+    classes, class_of = np.unique(truth[:, 3], return_inverse=True)
+    frame_total = np.bincount(frame_of)
+    class_total = np.bincount(class_of).tolist()
+    out = {"recall": {}, "mean_recall": {}, "per_class": {}}
+    for k in ks:
+        hit = ranks < k
+        found = np.bincount(frame_of, weights=hit, minlength=frame_total.size)
+        out["recall"][k] = float(np.mean(found / frame_total))
+        matched = np.bincount(class_of[hit], minlength=classes.size).tolist()
+        per_class = {c: m / t for c, m, t in zip(classes.tolist(), matched,
+                                                  class_total)}
+        out["per_class"][k] = per_class
+        out["mean_recall"][k] = float(np.mean(list(per_class.values())))
+    return out
+
+
+def _frame_rows(predictions: dict, ground_truth: dict) -> tuple:
+    """(entries, scores, truth) rows of tuple-keyed frames, frames numbered
+    in sorted key order; predictions of frames without a truth key are
+    unused."""
+    entries, scores, truth = [], [], []
+    for f, key in enumerate(sorted(ground_truth)):
+        for s, o, c, score in predictions.get(key, ()):
+            entries.append((f, s, o, c))
+            scores.append(score)
+        truth.extend((f, s, o, c) for s, o, c in ground_truth[key])
+    return entries, scores, truth
 
 
 def recall_at_k(predictions: dict, ground_truth: dict, k: int,
                 constraint: bool = False, class_types=None) -> float:
-    """Mean over frames of (ground-truth triplets in the top-k) / (all
-    ground-truth triplets of that frame). Keys identify clip-frames."""
-    if k <= 0:
-        raise ContractError("K must be positive")
-    if not ground_truth:
-        raise ContractError("ground truth is empty")
-    per_frame = []
-    for key in sorted(ground_truth):
-        gt = set(map(tuple, ground_truth[key]))
-        if not gt:
-            continue
-        top = set(_ranked_triplets(predictions.get(key, []), k, constraint, class_types))
-        per_frame.append(len(gt & top) / len(gt))
-    if not per_frame:
-        raise ContractError("ground truth is empty")
-    return float(np.mean(per_frame))
+    """R@K for one K. `predictions` maps a clip-frame key to its scored
+    (subj, obj, cls, score) tuples, `ground_truth` the same keys to
+    (subj, obj, cls) triplets; see `rank_recalls`."""
+    return rank_recalls(*_frame_rows(predictions, ground_truth), (k,),
+                        constraint, class_types)["recall"][k]
 
 
 def mean_recall_at_k(predictions: dict, ground_truth: dict, k: int,
                      constraint: bool = False, class_types=None):
-    """Per-predicate-class recall pooled over all frames, and the unweighted
-    mean over classes that appear in the ground truth."""
-    if k <= 0:
-        raise ContractError("K must be positive")
-    if not ground_truth:
-        raise ContractError("ground truth is empty")
-    matched, total = {}, {}
-    for key in sorted(ground_truth):
-        gt = set(map(tuple, ground_truth[key]))
-        top = set(_ranked_triplets(predictions.get(key, []), k, constraint, class_types))
-        for s, o, c in gt:
-            total[c] = total.get(c, 0) + 1
-            if (s, o, c) in top:
-                matched[c] = matched.get(c, 0) + 1
-    per_class = {c: matched.get(c, 0) / total[c] for c in sorted(total)}
-    mr = float(np.mean(list(per_class.values())))
-    return mr, per_class
+    """(mR@K, per-class recall) for one K, inputs as in `recall_at_k`."""
+    out = rank_recalls(*_frame_rows(predictions, ground_truth), (k,),
+                       constraint, class_types)
+    return out["mean_recall"][k], out["per_class"][k]
 
 
 def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior,

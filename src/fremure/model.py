@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import numcore as nc
-from .data_metrics import group_clips, mean_recall_at_k, recall_at_k
+from .data_metrics import group_clips, rank_recalls
+# the benchmark's tracer (bench/tracing.py) wraps these names in this module
+from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
 from .errors import ContractError, NumericalError
 from .freqgate import FrequencyPrior, compute_frequencies
@@ -394,54 +396,76 @@ def finite_diff_model(model: nc.Module, f, h: float = 1e-5) -> float:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def class_offsets(cfg: ModelConfig) -> dict:
-    return {"attn": 0, "spat": cfg.attn_classes,
-            "cont": cfg.attn_classes + cfg.spat_classes}
-
-
 def class_type_array(cfg: ModelConfig) -> np.ndarray:
     counts = cfg.class_counts()
     return np.concatenate([np.full(counts[t], i) for i, t in enumerate(TYPES)])
 
 
-def predict_clips(model: FremureModel, clips, rng: nc.Rng):
-    """Score every class for every record. Returns (predictions, ground_truth)
-    keyed by (clip, frame), triplets written in the global class numbering."""
-    offs = class_offsets(model.cfg)
-    predictions, ground_truth = {}, {}
+@dataclass
+class Predictions:
+    """What one no-grad pass over some clips gives evaluation.
+
+    Frames are numbered in sorted (clip, frame) order and classes in the
+    global numbering (attention, then spatial, then contact). `entries` rows
+    are (frame, subj, obj, class), one per class of every record, with
+    `scores` alongside; `truth` rows are the records' labels in the same
+    form. `uncertainty` maps "<task>_aleatoric" and "<task>_epistemic" to
+    one value per record, records in clip order."""
+    entries: np.ndarray
+    scores: np.ndarray
+    truth: np.ndarray
+    uncertainty: dict
+
+
+def predict_clips(model: FremureModel, clips, rng: nc.Rng) -> Predictions:
+    """Score every class for every record, one forward pass per clip; clip
+    i draws from ``rng.spawn(i)``."""
+    counts = model.cfg.class_counts()
+    keys = sorted({(rec.clip, rec.frame) for clip in clips for rec in clip})
+    frame_of = {key: i for i, key in enumerate(keys)}
+    ids, scores, labels = [], [], []
+    uncertainty = {f"{t}_{kind}": [] for t in TYPES
+                   for kind in ("aleatoric", "epistemic")}
     with nc.no_grad():
         for ci, clip in enumerate(clips):
             out = model.forward(clip, rng.spawn(ci), training=False)
-            probs = {t: out["probs"][t].data for t in TYPES}
-            for i, rec in enumerate(clip):
-                key = (rec.clip, rec.frame)
-                preds = predictions.setdefault(key, [])
-                gt = ground_truth.setdefault(key, [])
-                for t in TYPES:
-                    for c, score in enumerate(probs[t][i]):
-                        preds.append((rec.subj, rec.obj, offs[t] + c, float(score)))
-                gt.append((rec.subj, rec.obj, offs["attn"] + rec.attn))
-                gt.extend((rec.subj, rec.obj, offs["spat"] + c)
-                          for c in np.flatnonzero(rec.spat))
-                gt.extend((rec.subj, rec.obj, offs["cont"] + c)
-                          for c in np.flatnonzero(rec.cont))
-    return predictions, ground_truth
+            ids.append(np.array([(frame_of[(r.clip, r.frame)], r.subj, r.obj)
+                                 for r in clip], dtype=np.int64))
+            # columns in TYPES order are the global class numbering
+            scores.append(np.concatenate([out["probs"][t].data for t in TYPES],
+                                         axis=1))
+            labels.append(np.concatenate(
+                [np.eye(counts["attn"], dtype=bool)[[r.attn for r in clip]]]
+                + [np.array([getattr(r, t) for r in clip]) != 0
+                   for t in ("spat", "cont")], axis=1))
+            for t in TYPES:
+                report = out["reports"][t]
+                uncertainty[f"{t}_aleatoric"].append(report.aleatoric_rows)
+                uncertainty[f"{t}_epistemic"].append(report.epistemic_rows)
+    ids = np.concatenate(ids)
+    scores = np.concatenate(scores)
+    n_cls = scores.shape[1]
+    entries = np.column_stack([np.repeat(ids, n_cls, axis=0),
+                               np.tile(np.arange(n_cls), len(ids))])
+    rec, cls = np.nonzero(np.concatenate(labels))
+    return Predictions(entries, scores.ravel(), np.column_stack([ids[rec], cls]),
+                       {name: np.concatenate(rows).tolist()
+                        for name, rows in uncertainty.items()})
 
 
 def evaluate(model: FremureModel, records, ks=(10, 20, 50), constraint: bool = True,
              seed: int = 0) -> dict:
-    """Recall and mean recall at each K over the given records."""
+    """Recall, mean recall and per-class recall at each K over the given
+    records, from one forward pass per clip and one ranking of every frame.
+    "uncertainty" holds each record's uncertainty values from those passes
+    (see `Predictions`), records in `group_clips` order."""
     clips = group_clips(records)
     if not clips:
         raise ContractError("no records to evaluate")
-    preds, gt = predict_clips(model, clips, nc.Rng(seed))
-    types = class_type_array(model.cfg)
-    out = {"recall": {}, "mean_recall": {}, "per_class": {}}
-    for k in ks:
-        out["recall"][k] = recall_at_k(preds, gt, k, constraint, types)
-        mr, per_class = mean_recall_at_k(preds, gt, k, constraint, types)
-        out["mean_recall"][k] = mr
-        out["per_class"][k] = per_class
+    pred = predict_clips(model, clips, nc.Rng(seed))
+    out = rank_recalls(pred.entries, pred.scores, pred.truth, ks, constraint,
+                       class_type_array(model.cfg))
+    out["uncertainty"] = pred.uncertainty
     return out
 
 
@@ -490,7 +514,8 @@ def _count_labels(records, cfg: ModelConfig) -> dict:
 def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
           val_records=None):
     """Adam training over clips, one clip per step, fully determined by
-    (records, configs, seed). Returns (model, per-epoch history rows)."""
+    (records, configs, seed). Returns (model, per-epoch history rows); with
+    validation records, each row also carries that epoch's mR@K and R@K."""
     clips = group_clips(train_records)
     if not clips:
         raise ContractError("no training records")
@@ -530,6 +555,7 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
                               seed=seed)
             for k in tcfg.ks:
                 row[f"mR@{k}"] = scores["mean_recall"][k]
+                row[f"R@{k}"] = scores["recall"][k]
         history.append(row)
     return model, history
 

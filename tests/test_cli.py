@@ -11,7 +11,7 @@ from fremure import numcore as nc
 from fremure import model as fm
 from fremure.cli import (ConfigError, ExperimentConfig, main, parse_config,
                          VARIANTS)
-from fremure.data_metrics import read_jsonl
+from fremure.data_metrics import group_clips, read_jsonl
 from fremure.model import FremureModel, model_from_checkpoint
 
 
@@ -230,6 +230,46 @@ def test_eval_writes_one_uncertainty_row_per_record(trained, tmp_path):
     assert len(rows) == len(read_jsonl(data))
     for key in ("attn_aleatoric", "spat_epistemic", "cont_aleatoric"):
         assert all(np.isfinite(row[key]) for row in rows)
+
+
+def test_eval_runs_one_forward_per_clip(tmp_path, monkeypatch):
+    cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    ckpt = os.path.join(outdir, "checkpoint.json")
+    data = os.path.join(outdir, "test.jsonl")
+    calls = []
+    forward = FremureModel.forward
+
+    def counting(self, clip, *args, **kwargs):
+        calls.append(clip[0].clip)
+        return forward(self, clip, *args, **kwargs)
+
+    monkeypatch.setattr(FremureModel, "forward", counting)
+    evaldir = str(tmp_path / "ev5")
+    assert main(["eval", "--checkpoint", ckpt, "--data", data,
+                 "--out", evaldir, "--seed", "4"]) == 0
+    monkeypatch.undo()
+    clips = group_clips(read_jsonl(data))
+    assert calls == [clip[0].clip for clip in clips]
+
+    # the written rows are the reports of a fresh forward with the same
+    # per-clip sampling streams
+    rows = [json.loads(line) for line in
+            open(os.path.join(evaldir, "eval_samples.jsonl"))]
+    model = model_from_checkpoint(json.load(open(ckpt)))
+    want = []
+    root = nc.Rng(4)
+    with nc.no_grad():
+        for ci, clip in enumerate(clips):
+            reports = model.forward(clip, root.spawn(ci), training=False)["reports"]
+            for i, rec in enumerate(clip):
+                row = {"clip": rec.clip, "frame": rec.frame,
+                       "subj": rec.subj, "obj": rec.obj}
+                for t in fm.TYPES:
+                    row[f"{t}_aleatoric"] = float(reports[t].aleatoric_rows[i])
+                    row[f"{t}_epistemic"] = float(reports[t].epistemic_rows[i])
+                want.append(row)
+    assert rows == want
 
 
 def test_eval_class_count_mismatch_names_both_values(trained, tmp_path, capsys):

@@ -270,6 +270,75 @@ def test_mean_recall_sensitive_to_tail_misses():
     assert mr == 0.5 and r == 0.9
 
 
+def test_constraint_removed_truth_is_missed_at_k_beyond_the_slots():
+    # one pair and two types, so two slots; class 1 loses its slot to class 0
+    class_types = np.array([0, 0, 1])
+    preds = {("c", 0): [(0, 1, 0, 0.9), (0, 1, 1, 0.8), (0, 1, 2, 0.7)]}
+    gt = {("c", 0): [(0, 1, 1), (0, 1, 2)]}
+    for k in (2, 3, 50):
+        assert dm.recall_at_k(preds, gt, k, True, class_types) == 0.5
+        assert dm.mean_recall_at_k(preds, gt, k, True, class_types) == \
+            (0.5, {1: 0.0, 2: 1.0})
+    assert dm.recall_at_k(preds, gt, 3) == 1.0
+
+
+def test_all_k_ranking_equals_per_k_calls_on_random_frames():
+    rng = nc.Rng(62)
+    class_types = np.array([0] * 4 + [1] * 3 + [2] * 3)
+    ks = (1, 3, 5, 10, 24, 100)
+    removed = 0
+    for trial in range(60):
+        preds, gt = {}, {}
+        for f in range(1 + int(rng.integers(4)[0])):
+            pairs = [(int(rng.integers(3)[0]), 3 + int(rng.integers(3)[0]))
+                     for _ in range(1 + int(rng.integers(3)[0]))]
+            pairs.append(pairs[0])     # two records of one (subj, obj)
+            # quarter steps make score ties common
+            entries = [(s, o, c, float(np.floor(rng.uniforms(1)[0] * 4) / 4))
+                       for s, o in pairs for c in range(10)]
+            truth = {e[:3] for e in entries if rng.uniforms(1)[0] < 0.15}
+            truth.add((5, 9, int(rng.integers(10)[0])))     # never scored
+            gt[("c", f)] = sorted(truth)
+            if rng.uniforms(1)[0] < 0.85:
+                preds[("c", f)] = entries    # else a frame with no predictions
+        gt[("c", 99)] = []                   # a frame with nothing to find
+        constraint = trial % 2 == 1
+        types = None if trial % 4 == 3 else class_types
+
+        keys = sorted(gt)
+        rows = [(f, s, o, c) for f, key in enumerate(keys)
+                for s, o, c, _ in preds.get(key, [])]
+        scores = [e[3] for key in keys for e in preds.get(key, [])]
+        truth = [(f, *t) for f, key in enumerate(keys) for t in gt[key]]
+        got = dm.rank_recalls(np.array(rows, dtype=np.int64).reshape(-1, 4),
+                              np.array(scores), np.array(truth), ks,
+                              constraint, types)
+        for k in ks:
+            assert got["recall"][k] == dm.recall_at_k(preds, gt, k, constraint, types)
+            mr, per_class = dm.mean_recall_at_k(preds, gt, k, constraint, types)
+            assert got["mean_recall"][k] == mr
+            assert got["per_class"][k] == per_class
+
+            fracs, total, matched = [], {}, {}
+            for key in keys:
+                want = set(gt[key])
+                top = _brute_topk(preds.get(key, []), k, constraint, types)
+                if want:
+                    fracs.append(len(want & top) / len(want))
+                for t in want:
+                    total[t[2]] = total.get(t[2], 0) + 1
+                    matched[t[2]] = matched.get(t[2], 0) + (t in top)
+            assert got["recall"][k] == np.mean(fracs)
+            assert got["per_class"][k] == {c: matched[c] / total[c]
+                                           for c in sorted(total)}
+        if constraint:
+            for key in keys:
+                scored = {e[:3] for e in preds.get(key, [])}
+                kept = _brute_topk(preds.get(key, []), 10**6, True, types)
+                removed += len((set(gt[key]) & scored) - kept)
+    assert removed > 0, "no truth triplet lost its slot to the constraint"
+
+
 # ---------------------------------------------------------------------------
 # stratified report
 # ---------------------------------------------------------------------------

@@ -427,7 +427,8 @@ class TestTraining:
         train, test, _ = self._records()
         _, hist = M.train(train, _small_cfg(), M.TrainConfig(epochs=1, ks=(5, 10)),
                           7, val_records=test)
-        assert {"epoch", "L_a", "L_s", "L_c", "reg", "mR@5", "mR@10"} == set(hist[0])
+        assert {"epoch", "L_a", "L_s", "L_c", "reg", "mR@5", "mR@10",
+                "R@5", "R@10"} == set(hist[0])
 
 
 class TestEvalAndCheckpoint:
@@ -441,13 +442,22 @@ class TestEvalAndCheckpoint:
 
     def test_predictions_score_every_class(self):
         model, test = self._trained()
-        preds, gt = M.predict_clips(model, group_clips(test), nc.Rng(0))
-        assert set(preds) == set(gt)
-        key = sorted(preds)[0]
-        pairs = {(s, o) for s, o, _, _ in preds[key]}
-        assert len(preds[key]) == len(pairs) * (2 + 4 + 4)
+        pred = M.predict_clips(model, group_clips(test), nc.Rng(0))
+        frames, subj, obj, cls = pred.entries.T
+        assert set(frames.tolist()) == set(pred.truth[:, 0].tolist())
+        for f in set(frames.tolist()):
+            mine = frames == f
+            pairs = set(zip(subj[mine].tolist(), obj[mine].tolist()))
+            # every class of every pair is scored exactly once
+            scored = sorted(zip(subj[mine].tolist(), obj[mine].tolist(),
+                                cls[mine].tolist()))
+            assert scored == sorted((s, o, c) for s, o in pairs
+                                    for c in range(2 + 4 + 4))
+        assert pred.scores.shape == (len(pred.entries),)
         # ground truth uses the global numbering: attn ids precede spat ids
-        assert all(0 <= c < 10 for _, _, c in gt[key])
+        assert all(0 <= c < 10 for c in pred.truth[:, 3])
+        attn = pred.truth[pred.truth[:, 3] < 2]
+        assert len(attn) == len(test)
 
     def test_evaluate_is_deterministic_and_bounded(self):
         model, test = self._trained(head="bayesian")
