@@ -106,12 +106,19 @@ def write_jsonl(records, path):
 
 
 def read_jsonl(path) -> list:
+    """Records of a JSONL file. A line that is not a well-formed record
+    raises ContractError naming the file and the 1-based line number."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(TripletRecord.from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ContractError(f"{path}, line {lineno}: not a valid "
+                                    f"record ({type(exc).__name__}: {exc})") from exc
     return out
 
 
@@ -180,7 +187,10 @@ def _generate_split(cfg: SyntheticConfig, n_clips: int, clip_base: int,
     return records
 
 
-def label_counts(records, cfg: SyntheticConfig) -> dict:
+def label_counts(records, cfg) -> dict:
+    """Per-task label counts of `records`. `cfg` is any config with
+    `attn_classes`, `spat_classes` and `cont_classes` (a `SyntheticConfig`
+    or a `ModelConfig`)."""
     counts = {"attn": np.zeros(cfg.attn_classes),
               "spat": np.zeros(cfg.spat_classes),
               "cont": np.zeros(cfg.cont_classes)}

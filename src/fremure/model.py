@@ -15,12 +15,13 @@ pairwise cosines between per-task gradients on the shared trunk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import numcore as nc
-from .data_metrics import group_clips, rank_recalls
+from .data_metrics import group_clips, label_counts, rank_recalls
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
@@ -176,12 +177,17 @@ def _bce_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
 
 
 def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
-    total = Tensor(0.0)
-    for i in range(bits.shape[0]):
-        pos = np.flatnonzero(bits[i] == 1)
-        neg = np.flatnonzero(bits[i] == 0)
-        total = total + loss_multilabel_margin(probs[i], pos, neg)
-    return total * (1.0 / bits.shape[0])
+    """Row mean of ``loss_multilabel_margin`` with each row's 1-bits against
+    its 0-bits, as one hinge over every (row, class, class) triple weighted by
+    a constant mask. A row without positives or negatives weighs 0."""
+    n, c = bits.shape
+    pos, neg = bits == 1, bits == 0
+    count = pos.sum(axis=1) * neg.sum(axis=1) * n
+    scale = np.divide(1.0, count, out=np.zeros(n), where=count > 0)
+    weight = (pos[:, :, None] & neg[:, None, :]) * scale[:, None, None]
+    hinge = nc.maximum(1.0 - nc.reshape(probs, (n, c, 1))
+                       + nc.reshape(probs, (n, 1, c)), 0.0)
+    return (hinge * Tensor(weight)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +492,9 @@ class TrainConfig:
 
     def problems(self) -> list:
         out = []
+        for name in ("lr", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                out.append(f"{name} must be finite")
         if self.lr < 0:
             out.append("lr must be >= 0")
         for name in ("beta1", "beta2"):
@@ -502,15 +511,6 @@ class TrainConfig:
         return out
 
 
-def _count_labels(records, cfg: ModelConfig) -> dict:
-    counts = {t: np.zeros(c) for t, c in cfg.class_counts().items()}
-    for rec in records:
-        counts["attn"][rec.attn] += 1
-        counts["spat"] += np.asarray(rec.spat, dtype=np.float64)
-        counts["cont"] += np.asarray(rec.cont, dtype=np.float64)
-    return counts
-
-
 def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
           val_records=None):
     """Adam training over clips, one clip per step, fully determined by
@@ -521,7 +521,7 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
         raise ContractError("no training records")
     root = nc.Rng(seed)
     model = FremureModel(mcfg, root.spawn(0))
-    model.set_priors(_count_labels(train_records, mcfg))
+    model.set_priors(label_counts(train_records, mcfg))
     opt = nc.Adam(model.parameters(), tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     shuffle_rng = root.spawn(1)
     sample_root = root.spawn(2)

@@ -752,12 +752,25 @@ class Rng:
 # Adam optimizer
 # ---------------------------------------------------------------------------
 
+# elements per Adam update chunk: small enough that the chunk's temporaries
+# stay in cache, large enough that per-chunk dispatch is negligible
+ADAM_CHUNK = 1 << 14
+
+
 class Adam:
-    """Bias-corrected Adam over a named parameter dict.
+    """Bias-corrected Adam over a named parameter dict, on one flat arena.
 
     Update per step t: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     Parameters with no gradient are treated as g = 0.
+
+    Construction copies every parameter into one float64 buffer and rebinds
+    each ``p.data`` to a view of it; ``m``, ``v`` and the gathered gradients
+    are flat buffers in the same layout. ``step`` runs the update over
+    ``ADAM_CHUNK`` elements at a time with two preallocated temporaries.
+    Every operation is elementwise, so the result is bitwise that of a
+    per-tensor update. A parameter whose ``data`` is rebound afterwards has
+    left the arena, and ``step`` refuses to run.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
@@ -768,25 +781,69 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._spans = []         # (key, start, stop, shape) per parameter
+        owner, start = {}, 0
+        for key, p in self.params.items():
+            if id(p) in owner:
+                raise ContractError(f"parameters '{owner[id(p)]}' and '{key}' "
+                                    "are the same tensor")
+            owner[id(p)] = key
+            self._spans.append((key, start, start + p.data.size, p.data.shape))
+            start += p.data.size
+        self.flat = np.empty(start)
+        self.m = np.zeros(start)
+        self.v = np.zeros(start)
+        self._grad = np.zeros(start)
+        views, grads = self._split(self.flat), self._split(self._grad)
+        self._slots = []         # (key, parameter, its view, its gradient's view)
+        for key, p in self.params.items():
+            views[key][...] = p.data
+            p.data = views[key]
+            self._slots.append((key, p, views[key], grads[key]))
+        size = min(ADAM_CHUNK, start)
+        self._tmp = (np.empty(size), np.empty(size))
+
+    def _split(self, flat: np.ndarray) -> dict:
+        """Per-parameter views of an arena-shaped flat array."""
+        return {key: flat[lo:hi].reshape(shape)
+                for key, lo, hi, shape in self._spans}
 
     def step(self):
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for key, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
+        for key, p, view, gview in self._slots:
+            if p.data is not view:
+                raise ContractError(f"parameter '{key}' was rebound after the "
+                                    "optimizer was built")
+            g = p.grad
+            if g is None:
+                gview.fill(0.0)
+            elif g.shape != view.shape:
                 raise ContractError(f"gradient shape {g.shape} != parameter shape "
-                                    f"{p.data.shape} for '{key}'")
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                                    f"{view.shape} for '{key}'")
+            else:
+                gview[...] = g
+        self.t += 1
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for lo in range(0, self.flat.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, self.flat.size)
+            p, g = self.flat[lo:hi], self._grad[lo:hi]
+            m, v = self.m[lo:hi], self.v[lo:hi]
+            t1, t2 = self._tmp[0][:hi - lo], self._tmp[1][:hi - lo]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=t1)
+            m += t1
+            v *= b2
+            np.multiply(g, g, out=t1)
+            t1 *= 1.0 - b2
+            v += t1
+            np.divide(m, bc1, out=t1)
+            t1 *= lr
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            p -= t1
 
     def zero_grad(self):
         for p in self.params.values():
@@ -795,19 +852,20 @@ class Adam:
     def state_dict(self) -> dict:
         return {
             "t": self.t,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
+            "m": {k: v.tolist() for k, v in self._split(self.m).items()},
+            "v": {k: v.tolist() for k, v in self._split(self.v).items()},
         }
 
     def load_state_dict(self, state: dict):
         self.t = int(state["t"])
+        ms, vs = self._split(self.m), self._split(self.v)
         for key, p in self.params.items():
             m = np.asarray(state["m"][key], dtype=np.float64)
             v = np.asarray(state["v"][key], dtype=np.float64)
             if m.shape != p.data.shape or v.shape != p.data.shape:
                 raise ContractError(f"optimizer state shape mismatch for '{key}'")
-            self.m[key] = m
-            self.v[key] = v
+            ms[key][...] = m
+            vs[key][...] = v
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,25 @@ def test_train_non_finite_loss_aborts_with_code_3(tmp_path, capsys):
     assert "non-finite loss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("train.lr", "nan"), ("train.lr", "inf"),
+                                        ("train.eps", "nan")])
+def test_non_finite_optimizer_setting_names_the_key(tmp_path, capsys, key, value):
+    cfg = _cfg_file(tmp_path, **{key: value})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    name = key.split(".")[1]
+    assert f"train: {name} must be finite" in capsys.readouterr().err
+
+
+def test_truncated_jsonl_line_names_file_and_line(tmp_path, capsys):
+    cfg, outdir = _gen(tmp_path)
+    path = os.path.join(outdir, "train.jsonl")
+    lines = open(path).read().splitlines()
+    lines[2] = lines[2][:len(lines[2]) // 2]
+    open(path, "w").write("\n".join(lines) + "\n")
+    assert main(["train", "--config", cfg, "--out", outdir]) == 1
+    assert f"{path}, line 3: not a valid record" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

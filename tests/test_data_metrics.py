@@ -1,6 +1,7 @@
 """Synthetic data generator and recall metrics against brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ def test_jsonl_roundtrip_is_exact(tmp_path):
         assert (x.clip, x.frame, x.subj, x.obj) == (y.clip, y.frame, y.subj, y.obj)
         assert np.array_equal(x.feat, y.feat)
         assert x.attn == y.attn and x.spat == y.spat and x.cont == y.cont
+
+
+@pytest.mark.parametrize("bad", ['{"clip": 0, "frame": 1, "su', '{"clip": 0}', "[1, 2]"])
+def test_read_jsonl_bad_line_names_path_and_line(tmp_path, bad):
+    cfg = _tiny_cfg(clips=1)
+    train, _, _ = dm.generate_dataset(cfg, seed=5)
+    path = tmp_path / "data.jsonl"
+    dm.write_jsonl(train[:2], path)
+    with open(path, "a") as fh:
+        fh.write("\n" + bad + "\n")          # a blank line 3, then line 4
+    with pytest.raises(ContractError, match=re.escape(f"{path}, line 4: not a valid")):
+        dm.read_jsonl(path)
 
 
 def test_label_counts_hand_check():

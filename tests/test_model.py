@@ -142,6 +142,63 @@ class TestLossOps:
             rows.append(M.loss_multilabel_margin(probs[i], pos, neg).item())
         assert got == pytest.approx(np.mean(rows), rel=1e-12)
 
+    def test_masked_margin_equals_rowwise_reference(self):
+        # value and every gradient of the one-graph hinge against the sum of
+        # per-row loss_multilabel_margin graphs, on random bits; lattice
+        # scores make hinges that are exactly 0, where both route the
+        # gradient through the hinge (maximum's first argument)
+        degenerate = exact_zero = 0
+        for inst in range(240):
+            rng = nc.Rng(41).spawn(inst)
+            n = 1 if inst % 6 == 0 else 1 + int(rng.integers(7)[0])
+            c = 1 if inst % 6 == 1 else 1 + int(rng.integers(8)[0])
+            rate = rng.uniforms(n)[:, None]
+            rate[rng.uniforms(n) < 0.25] = float(inst % 2)  # all-pos or all-neg rows
+            bits = (rng.uniforms(n * c).reshape(n, c) < rate).astype(np.float64)
+            if inst % 3 == 0:
+                data = rng.integers(3, n * c).reshape(n, c) * 0.5
+            else:
+                data = rng.uniforms(n * c).reshape(n, c)
+            got_x = nc.Tensor(data, requires_grad=True)
+            ref_x = nc.Tensor(data, requires_grad=True)
+            got = M._margin_rows(got_x, bits)
+            ref = _margin_rows_reference(ref_x, bits)
+            assert abs(got.item() - ref.item()) <= 1e-12
+            got.backward()
+            ref.backward()
+            ref_grad = ref_x.grad if ref_x.grad is not None else np.zeros((n, c))
+            np.testing.assert_allclose(got_x.grad, ref_grad, rtol=0, atol=1e-12)
+            pos, neg = bits == 1, bits == 0
+            degenerate += int(np.sum(~pos.any(axis=1) | ~neg.any(axis=1)))
+            hinge = 1.0 - data[:, :, None] + data[:, None, :]
+            exact_zero += int(np.sum((hinge == 0.0)
+                                     & pos[:, :, None] & neg[:, None, :]))
+        assert degenerate > 0 and exact_zero > 0
+
+    def test_masked_margin_tape_does_not_grow_with_rows(self):
+        def tape_nodes(n):
+            rng = nc.Rng(43).spawn(n)
+            x = nc.Tensor(rng.uniforms(n * 16).reshape(n, 16), requires_grad=True)
+            bits = (rng.uniforms(n * 16).reshape(n, 16) < 0.3).astype(np.float64)
+            seen, todo = set(), [M._margin_rows(x, bits)]
+            while todo:
+                node = todo.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    todo.extend(node._parents)
+            return len(seen)
+
+        assert tape_nodes(2) == tape_nodes(40)
+
+
+def _margin_rows_reference(scores, bits):
+    """Mean over rows of one loss_multilabel_margin graph per row."""
+    total = nc.Tensor(0.0)
+    for i in range(bits.shape[0]):
+        pos, neg = np.flatnonzero(bits[i] == 1), np.flatnonzero(bits[i] == 0)
+        total = total + M.loss_multilabel_margin(scores[i], pos, neg)
+    return total * (1.0 / bits.shape[0])
+
 
 class TestConfig:
     def test_round_trips_through_json(self):
@@ -497,3 +554,39 @@ class TestEvalAndCheckpoint:
         opt.step()
         doc = M.checkpoint_dict(model, epoch=1, seed=7, optimizer=opt)
         assert doc["optimizer"]["t"] == 1
+
+
+class TestFlatAdam:
+    def test_flat_adam_is_bitwise_the_per_tensor_update(self):
+        params = M.FremureModel(M.ModelConfig(), nc.Rng(5)).parameters()
+        stops = np.cumsum([p.data.size for p in params.values()])
+        starts = stops - [p.data.size for p in params.values()]
+        # the default model's arena spans many chunks, and some tensor
+        # straddles a chunk boundary
+        assert np.any(starts // nc.ADAM_CHUNK != (stops - 1) // nc.ADAM_CHUNK)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(x) for k, x in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        opt = nc.Adam(params, lr, b1, b2, eps)
+        rng = nc.Rng(47)
+        for t in range(1, 7):
+            for i, p in enumerate(params.values()):
+                p.grad = (None if (i + t) % 5 == 0
+                          else rng.normals(p.data.shape) * 10.0 ** (i % 4 - 2))
+            opt.step()
+            # the per-tensor update, formula for formula
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for key, p in params.items():
+                g = p.grad if p.grad is not None else np.zeros_like(ref[key])
+                m[key] *= b1
+                m[key] += (1.0 - b1) * g
+                v[key] *= b2
+                v[key] += (1.0 - b2) * (g * g)
+                ref[key] -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + eps)
+            for key, p in params.items():
+                assert np.array_equal(p.data, ref[key]), key
+        state = opt.state_dict()
+        for key in params:
+            assert np.array_equal(state["m"][key], m[key]), key
+            assert np.array_equal(state["v"][key], v[key]), key

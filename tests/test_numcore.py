@@ -465,6 +465,32 @@ def test_adam_shape_mismatch_rejected():
         nc.Adam({"p": p}).step()
 
 
+def test_adam_rebound_parameter_rejected():
+    p = nc.Tensor(np.zeros(3), requires_grad=True)
+    opt = nc.Adam({"p": p})
+    p.data = np.ones(3)
+    p.grad = np.ones(3)
+    with pytest.raises(ContractError, match="'p' was rebound"):
+        opt.step()
+
+
+def test_adam_duplicate_tensor_rejected():
+    p = nc.Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ContractError, match="same tensor"):
+        nc.Adam({"a": p, "b": p})
+
+
+def test_adam_parameters_become_views_of_one_arena():
+    p = nc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = nc.Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
+    opt = nc.Adam({"p": p, "q": q})
+    assert np.array_equal(opt.flat, [1.0, 2.0, 3.0, 4.0])
+    assert q.data.shape == (2, 1)
+    # in-place edits of a parameter are edits of the arena
+    q.data[1, 0] = 5.0
+    assert opt.flat[3] == 5.0
+
+
 def test_adam_state_roundtrip():
     p = nc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
     opt = nc.Adam({"p": p}, lr=0.01)
