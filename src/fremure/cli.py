@@ -27,7 +27,7 @@ from . import numcore as nc
 from .data_metrics import (SyntheticConfig, generate_dataset, group_clips,
                            read_jsonl, write_jsonl,
                            frequency_stratified_report)
-from .errors import ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError
 from .freqgate import compute_frequencies
 from .model import (TYPES, AblationFlags, FremureModel, ModelConfig,
                     TrainConfig, checkpoint_dict, evaluate, grad_conflict,
@@ -46,14 +46,6 @@ VARIANTS = {
     "no-frequency": {"head": "gmm_plus", "frequency": False},
     "no-dual-branch": {"head": "gmm_plus", "dual_branch": False},
 }
-
-
-class ConfigError(ContractError):
-    """Validation failure carrying every detected problem, not just the first."""
-
-    def __init__(self, problems):
-        super().__init__("; ".join(problems))
-        self.problems = list(problems)
 
 
 # ---------------------------------------------------------------------------

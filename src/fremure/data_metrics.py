@@ -7,6 +7,33 @@ of the label prototypes plus Gaussian noise, and an optional post-feature
 label flip injects irreducible label noise. Everything is driven by one
 seeded counter generator, so a (config, seed) pair fixes the dataset bytes.
 
+Stream layout. ``Rng(seed).spawn(0)`` draws the prototypes (attention, then
+spatial, then contact, each a (classes, d) normal matrix); the train and test
+splits read ``spawn(1)`` and ``spawn(2)``. Inside a split, records follow in
+(clip, frame, pair) order, and each record reads the next raw draws of the
+split's stream in this order, one draw each unless stated:
+
+1. attention label (inverse CDF of its uniform on the Zipf law);
+2. spatial label;
+3. extra-spatial uniform; if it is <= extra_label_rate, a second spatial
+   label (a repeat of the first adds nothing);
+4. contact label;
+5. extra-contact uniform; if <= extra_label_rate, a second contact label;
+6. d normals by Box-Muller: d + 1 uniforms when d is odd, else d. The
+   feature is the mean of the attention, sorted spatial and sorted contact
+   prototypes (summed in that order, as ``np.mean`` of their stack) plus
+   noise times these normals;
+7. three flip uniforms, for attention, spatial, contact in turn; each one
+   that is <= flip is followed by one raw draw whose value modulo the class
+   count replaces that task's labels.
+
+A record thus uses 8 + 2*ceil(d/2) draws plus one per conditional draw
+taken, at most 5 more. The generator draws a split as one block of that
+maximum size per record, finds every record's length from its conditional
+uniforms, walks those lengths once for the records' offsets, and gathers
+labels and features at the offsets; the bytes are those of drawing each
+record in turn.
+
 Evaluation ranks (pair, predicate) entries per frame by score with
 deterministic tie-breaking, once for every K, and reports R@K, per-class
 recall, mR@K, and head/tail bucket summaries. Ground-truth pairs are given
@@ -53,6 +80,9 @@ class SyntheticConfig:
                      "clips", "test_clips", "frames", "pairs"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1")
+        for name in ("zipf_s", "noise", "flip", "extra_label_rate"):
+            if not math.isfinite(getattr(self, name)):
+                out.append(f"{name} must be finite")
         if self.zipf_s <= 0:
             out.append("zipf_s must be > 0")
         if self.noise < 0:
@@ -143,48 +173,82 @@ def zipf_pmf(n_classes: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _bits(classes: int, labels) -> list:
-    bits = [0] * classes
-    for lab in labels:
-        bits[int(lab)] = 1
-    return bits
-
-
 def _generate_split(cfg: SyntheticConfig, n_clips: int, clip_base: int,
                     protos: dict, rng: nc.Rng) -> list:
-    pmf = {t: zipf_pmf(c, cfg.zipf_s) for t, c in cfg.class_counts().items()}
-    records = []
-    for ci in range(n_clips):
-        for t in range(cfg.frames):
-            for p in range(cfg.pairs):
-                attn = int(rng.categorical(pmf["attn"])[0])
-                spat = {int(rng.categorical(pmf["spat"])[0])}
-                if rng.uniforms(1)[0] <= cfg.extra_label_rate:
-                    spat.add(int(rng.categorical(pmf["spat"])[0]))
-                cont = {int(rng.categorical(pmf["cont"])[0])}
-                if rng.uniforms(1)[0] <= cfg.extra_label_rate:
-                    cont.add(int(rng.categorical(pmf["cont"])[0]))
+    """Records of one split, in (clip, frame, pair) order, drawn from one
+    block of `rng`'s stream with the per-record layout given in the module
+    docstring. The records' features are rows of one matrix."""
+    n = n_clips * cfg.frames * cfg.pairs
+    width = 2 * ((cfg.d + 1) // 2)          # uniforms behind d normals
+    raw = rng.raw(n * (13 + width))         # 13 + width: a record's most draws
+    u = nc.uniform_from_raw(raw)
+    extra = u <= cfg.extra_label_rate
+    flip = u <= cfg.flip
 
-                stack = [protos["attn"][attn]]
-                stack += [protos["spat"][c] for c in sorted(spat)]
-                stack += [protos["cont"][c] for c in sorted(cont)]
-                feat = np.mean(stack, axis=0) + cfg.noise * rng.normals(cfg.d)
+    # the five conditional draws of a record starting at each position of
+    # the block; positions past its end occur only for starts no record has
+    def hit(mask, pos):
+        return mask[np.minimum(pos, raw.size - 1)].astype(np.int64)
 
-                # label flips happen after the feature is built, so flipped
-                # records carry features that disagree with their labels
-                if rng.uniforms(1)[0] <= cfg.flip:
-                    attn = int(rng.integers(cfg.attn_classes)[0])
-                if rng.uniforms(1)[0] <= cfg.flip:
-                    spat = {int(rng.integers(cfg.spat_classes)[0])}
-                if rng.uniforms(1)[0] <= cfg.flip:
-                    cont = {int(rng.integers(cfg.cont_classes)[0])}
+    start = np.arange(raw.size)
+    es = hit(extra, start + 2)
+    ec = hit(extra, start + 4 + es)
+    q = start + 5 + es + ec + width         # the attention flip's uniform
+    fa = hit(flip, q)
+    fs = hit(flip, q + 1 + fa)
+    fc = hit(flip, q + 2 + fa + fs)
+    length = (8 + width + es + ec + fa + fs + fc).tolist()
+    offsets, pos = [], 0
+    for _ in range(n):
+        offsets.append(pos)
+        pos += length[pos]
+    s = np.asarray(offsets, dtype=np.int64)
+    es, ec, q, fa, fs, fc = es[s], ec[s], q[s], fa[s], fs[s], fc[s]
 
-                records.append(TripletRecord(
-                    clip=clip_base + ci, frame=t, subj=p, obj=cfg.pairs + p,
-                    feat=feat, attn=attn,
-                    spat=_bits(cfg.spat_classes, spat),
-                    cont=_bits(cfg.cont_classes, cont)))
-    return records
+    def labels(kind, pos, extra_pos, has_extra):
+        """(smaller, larger, two distinct) of a label and its extra label."""
+        pmf = zipf_pmf(cfg.class_counts()[kind], cfg.zipf_s)
+        first = nc.categorical_from_uniforms(pmf, u[pos])
+        second = np.where(has_extra == 1,
+                          nc.categorical_from_uniforms(pmf, u[extra_pos]), first)
+        return np.minimum(first, second), np.maximum(first, second), first != second
+
+    attn = nc.categorical_from_uniforms(zipf_pmf(cfg.attn_classes, cfg.zipf_s), u[s])
+    spat_lo, spat_hi, two_spat = labels("spat", s + 1, s + 3, es)
+    cont_lo, cont_hi, two_cont = labels("cont", s + 3 + es, s + 5 + es, ec)
+    normals = nc.box_muller(u[(s + 5 + es + ec)[:, None] + np.arange(width)].ravel())
+
+    # the mean of the label prototypes as np.mean takes it: summed in the
+    # order attention, sorted spatial, sorted contact, then divided
+    feat = protos["attn"][attn] + protos["spat"][spat_lo]
+    np.add(feat, protos["spat"][spat_hi], out=feat, where=two_spat[:, None])
+    np.add(feat, protos["cont"][cont_lo], out=feat)
+    np.add(feat, protos["cont"][cont_hi], out=feat, where=two_cont[:, None])
+    feat /= (3 + two_spat + two_cont)[:, None]
+    feat = feat + cfg.noise * normals.reshape(n, width)[:, :cfg.d]
+
+    # label flips come after the feature, so flipped records carry features
+    # that disagree with their labels
+    def flipped(classes, hits, pos, keep):
+        drawn = (raw[pos] % np.uint64(classes)).astype(np.int64)
+        return np.where(hits == 1, drawn, keep)
+
+    def bits(classes, lo, hi, hits, pos):
+        out = np.zeros((n, classes), dtype=np.int64)
+        out[np.arange(n), flipped(classes, hits, pos, lo)] = 1
+        out[np.arange(n), flipped(classes, hits, pos, hi)] = 1
+        return out.tolist()
+
+    attn = flipped(cfg.attn_classes, fa, q + 1, attn)
+    spat_bits = bits(cfg.spat_classes, spat_lo, spat_hi, fs, q + 2 + fa)
+    cont_bits = bits(cfg.cont_classes, cont_lo, cont_hi, fc, q + 3 + fa + fs)
+    per_clip = cfg.frames * cfg.pairs
+    return [TripletRecord(clip=clip_base + i // per_clip,
+                          frame=i // cfg.pairs % cfg.frames, subj=i % cfg.pairs,
+                          obj=cfg.pairs + i % cfg.pairs, feat=f, attn=a,
+                          spat=sb, cont=cb)
+            for i, f, a, sb, cb in zip(range(n), feat, attn.tolist(),
+                                       spat_bits, cont_bits)]
 
 
 def label_counts(records, cfg) -> dict:

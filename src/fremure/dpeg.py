@@ -27,15 +27,6 @@ from .errors import ContractError
 from .freqgate import FrequencyGate, FrequencyPrior, frequency_correct, gate_values, uniform_prior
 
 
-@dataclass
-class PairEmbedding:
-    """One subject-object pair observed in one frame."""
-    frame: int
-    subj: int
-    obj: int
-    feat: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # encoders
 # ---------------------------------------------------------------------------

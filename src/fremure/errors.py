@@ -5,14 +5,13 @@ class ContractError(ValueError):
     """An operation was called with arguments that violate its contract."""
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration. Carries one message per offending key."""
+class ConfigError(ContractError):
+    """Invalid experiment configuration or command line. Carries every
+    detected problem in ``problems``, one message per offending key."""
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
+        super().__init__("; ".join(problems))
         self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class NumericalError(RuntimeError):

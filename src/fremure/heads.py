@@ -63,10 +63,6 @@ def entropy_rows(probs: np.ndarray, mode: str) -> np.ndarray:
     return -(p * np.log(p) + q * np.log(q)).mean(axis=-1)
 
 
-def _entropy(probs: np.ndarray, mode: str) -> float:
-    return float(entropy_rows(probs, mode).mean())
-
-
 def probability_loss(probs: nc.Tensor, target, mode: str) -> nc.Tensor:
     """Negative log mean probability at the target (single-label) or mean
     binary cross-entropy over per-class mean probabilities (multi-label)."""

@@ -16,7 +16,7 @@ pairwise cosines between per-task gradients on the shared trunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -77,12 +77,17 @@ class ModelConfig:
                      "s_train", "s_eval"):
             if getattr(self, name) < 1:
                 out.append(f"{name} must be >= 1")
+        if self.d % 2 != 0:
+            out.append(f"d={self.d} must be even (sinusoidal positions)")
         if self.d % self.h != 0:
             out.append(f"d={self.d} not divisible by h={self.h}")
         if self.window_s > self.window_w:
             out.append("window_s must not exceed window_w")
         if self.window_mode not in ("average", "triangular"):
             out.append(f"unknown window_mode '{self.window_mode}'")
+        for name in ("sigma_min", "sigma_target", "tau", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                out.append(f"{name} must be finite")
         if self.sigma_min <= 0:
             out.append("sigma_min must be positive")
         if self.tau < 0 or self.lam < 0:
@@ -116,12 +121,37 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
+        """The config stored in a checkpoint. A missing field takes its
+        default; an unknown field, or a value whose JSON type does not match
+        the field's default, raises ContractError naming the field."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("flags"), dict):
+            raise ContractError("malformed model config: expected an object "
+                                "with a 'flags' object")
         doc = dict(doc)
+        flags = doc.pop("flags")
+        _check_json_types(AblationFlags, flags, "flags.")
+        _check_json_types(cls, doc, "")
         try:
-            flags = AblationFlags(**doc.pop("flags"))
-            return cls(flags=flags, **doc)
-        except (KeyError, TypeError) as exc:
+            return cls(flags=AblationFlags(**flags), **doc)
+        except TypeError as exc:
             raise ContractError(f"malformed model config: {exc}")
+
+
+# JSON types accepted for a config field, by the type of its default
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_json_types(cls, doc: dict, prefix: str):
+    defaults = cls()
+    for f in fields(cls):
+        kind = type(getattr(defaults, f.name))
+        if f.name not in doc or kind not in _JSON_TYPES:
+            continue
+        value = doc[f.name]
+        if not isinstance(value, _JSON_TYPES[kind]) or \
+                (isinstance(value, bool) and kind is not bool):
+            raise ContractError(f"model config field '{prefix}{f.name}' must be "
+                                f"{kind.__name__}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,32 @@ def _mix64(z) -> np.ndarray:
     return z
 
 
+def uniform_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1] from raw 64-bit draws: ``((raw >> 11) + 1) * 2**-53``."""
+    return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from a flat, even-length array of uniforms: each
+    consecutive pair (u1, u2) gives ``r*cos(2 pi u2)`` then ``r*sin(2 pi u2)``
+    with ``r = sqrt(-2 ln u1)``. Callers drawing in bulk pass the same flat
+    layout as ``Rng.normals`` does, so the same numpy loops run on each side."""
+    u1, u2 = u[0::2], u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(u.size)
+    out[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    out[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return out
+
+
+def categorical_from_uniforms(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Class indices for uniforms ``u`` by inverse CDF: the first class whose
+    cumulative probability reaches u, clamped to the last class."""
+    cdf = np.cumsum(np.asarray(pmf, dtype=np.float64))
+    idx = np.searchsorted(cdf, u, side="left")
+    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+
+
 class Rng:
     """Counter-based deterministic generator (SplitMix64).
 
@@ -706,7 +732,7 @@ class Rng:
         return _mix64(z)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return ((self.raw(n) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+        return uniform_from_raw(self.raw(n))
 
     def uniform_range(self, lo: float, hi: float, shape) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
@@ -716,13 +742,7 @@ class Rng:
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(2.0 * np.pi * u2)
-        out[1::2] = radius * np.sin(2.0 * np.pi * u2)
-        return out[:n].reshape(shape)
+        return box_muller(self.uniforms(2 * pairs))[:n].reshape(shape)
 
     def integers(self, bound: int, n: int = 1) -> np.ndarray:
         if bound <= 0:
@@ -739,9 +759,7 @@ class Rng:
 
     def categorical(self, pmf: np.ndarray, n: int = 1) -> np.ndarray:
         """Inverse-CDF sampling from a probability vector."""
-        cdf = np.cumsum(np.asarray(pmf, dtype=np.float64))
-        idx = np.searchsorted(cdf, self.uniforms(n), side="left")
-        return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+        return categorical_from_uniforms(pmf, self.uniforms(n))
 
     def spawn(self, key: int) -> "Rng":
         child = int(_mix64((self.seed + (key + 1) * _GOLDEN) & _MASK64)[0])

@@ -3,14 +3,15 @@ subcommands, exit codes, and byte-level determinism of the written artifacts."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fremure import numcore as nc
 from fremure import model as fm
-from fremure.cli import (ConfigError, ExperimentConfig, main, parse_config,
-                         VARIANTS)
+from fremure import ConfigError
+from fremure.cli import main, parse_config, VARIANTS
 from fremure.data_metrics import group_clips, read_jsonl
 from fremure.model import FremureModel, model_from_checkpoint
 
@@ -35,6 +36,14 @@ def _cfg_file(tmp_path, **over):
     path.write_text("# compact experiment for fast tests\n" +
                     "\n".join(f"{k} = {v}" for k, v in merged.items()) + "\n")
     return str(path)
+
+
+def _json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
 
 def _gen(tmp_path, out="run", **over):
@@ -107,7 +116,7 @@ def test_gen_data_writes_expected_record_counts(tmp_path):
     test = read_jsonl(os.path.join(outdir, "test.jsonl"))
     assert len(train) == 6 * 2 * 2        # clips * frames * pairs
     assert len(test) == 3 * 2 * 2
-    prior = json.load(open(os.path.join(outdir, "prior.json")))
+    prior = _json(os.path.join(outdir, "prior.json"))
     assert set(prior) == {"attn", "spat", "cont"}
     assert len(prior["attn"]["counts"]) == 4
 
@@ -116,8 +125,8 @@ def test_gen_data_same_seed_same_manifest(tmp_path):
     cfg, out1 = _gen(tmp_path, out="a")
     out2 = str(tmp_path / "b")
     assert main(["gen-data", "--config", cfg, "--out", out2]) == 0
-    m1 = open(os.path.join(out1, "gen_data_manifest.json"), "rb").read()
-    m2 = open(os.path.join(out2, "gen_data_manifest.json"), "rb").read()
+    m1 = Path(out1, "gen_data_manifest.json").read_bytes()
+    m2 = Path(out2, "gen_data_manifest.json").read_bytes()
     assert m1 == m2
 
 
@@ -125,6 +134,25 @@ def test_gen_data_zero_clips_names_the_field(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, **{"data.clips": 0})
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "clips must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("data.zipf_s", "nan"), ("data.noise", "inf"), ("data.flip", "nan"),
+    ("data.extra_label_rate", "-inf"), ("model.sigma_min", "nan"),
+    ("model.sigma_target", "inf"), ("model.tau", "nan"), ("model.lam", "inf")])
+def test_non_finite_data_or_model_setting_names_the_key(tmp_path, capsys, key, value):
+    cfg = _cfg_file(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+    section, name = key.split(".")
+    assert f"{section}: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_odd_model_dim_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg_file(tmp_path, **{"model.d": 5, "model.h": 1})
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "model: d=5 must be even" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -139,10 +167,10 @@ def test_missing_config_file_is_io_error(tmp_path):
 def test_train_writes_metrics_and_checkpoint(tmp_path):
     cfg, outdir = _gen(tmp_path)
     assert main(["train", "--config", cfg, "--out", outdir, "--k", "5,10"]) == 0
-    lines = open(os.path.join(outdir, "metrics.csv")).read().splitlines()
+    lines = Path(outdir, "metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,L_a,L_s,L_c,reg,mR@5,mR@10"
     assert len(lines) == 2                # one epoch
-    ckpt = json.load(open(os.path.join(outdir, "checkpoint.json")))
+    ckpt = _json(os.path.join(outdir, "checkpoint.json"))
     model = model_from_checkpoint(ckpt)
     assert model.cfg.d == 8
 
@@ -150,19 +178,19 @@ def test_train_writes_metrics_and_checkpoint(tmp_path):
 def test_train_identical_runs_are_byte_identical(tmp_path):
     cfg, outdir = _gen(tmp_path)
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
-    first_csv = open(os.path.join(outdir, "metrics.csv"), "rb").read()
-    first_ckpt = open(os.path.join(outdir, "checkpoint.json"), "rb").read()
+    first_csv = Path(outdir, "metrics.csv").read_bytes()
+    first_ckpt = Path(outdir, "checkpoint.json").read_bytes()
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
-    assert open(os.path.join(outdir, "metrics.csv"), "rb").read() == first_csv
-    assert open(os.path.join(outdir, "checkpoint.json"), "rb").read() == first_ckpt
+    assert Path(outdir, "metrics.csv").read_bytes() == first_csv
+    assert Path(outdir, "checkpoint.json").read_bytes() == first_ckpt
 
 
 def test_train_zero_epochs_checkpoint_equals_initialization(tmp_path):
     cfg, outdir = _gen(tmp_path, **{"train.epochs": 0})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
     stored = model_from_checkpoint(
-        json.load(open(os.path.join(outdir, "checkpoint.json"))))
-    exp = parse_config(open(cfg).read())
+        _json(os.path.join(outdir, "checkpoint.json")))
+    exp = parse_config(Path(cfg).read_text())
     fresh = FremureModel(exp.model, nc.Rng(11).spawn(0))
     for name, p in fresh.parameters().items():
         np.testing.assert_array_equal(stored.parameters()[name].data, p.data)
@@ -177,11 +205,11 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
 def test_train_non_finite_loss_aborts_with_code_3(tmp_path, capsys):
     cfg, outdir = _gen(tmp_path)
     path = os.path.join(outdir, "train.jsonl")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     doc = json.loads(lines[0])
     doc["feat"] = [float("inf")] * len(doc["feat"])
     lines[0] = json.dumps(doc)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     assert main(["train", "--config", cfg, "--out", outdir]) == 3
     assert "non-finite loss" in capsys.readouterr().err
 
@@ -198,9 +226,9 @@ def test_non_finite_optimizer_setting_names_the_key(tmp_path, capsys, key, value
 def test_truncated_jsonl_line_names_file_and_line(tmp_path, capsys):
     cfg, outdir = _gen(tmp_path)
     path = os.path.join(outdir, "train.jsonl")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[2] = lines[2][:len(lines[2]) // 2]
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     assert main(["train", "--config", cfg, "--out", outdir]) == 1
     assert f"{path}, line 3: not a valid record" in capsys.readouterr().err
 
@@ -224,14 +252,14 @@ def test_eval_report_columns_and_oracle_agreement(trained, tmp_path):
     evaldir = str(tmp_path / "ev")
     assert main(["eval", "--checkpoint", ckpt, "--data", data,
                  "--out", evaldir, "--k", "10,20,50", "--seed", "0"]) == 0
-    lines = open(os.path.join(evaldir, "eval_report.csv")).read().splitlines()
+    lines = Path(evaldir, "eval_report.csv").read_text().splitlines()
     assert lines[0] == "metric,K=10,K=20,K=50"
     assert [row.split(",")[0] for row in lines[1:]] == [
         "recall", "mean_recall", "head_recall", "tail_recall"]
 
     # numbers must match the library evaluation of the same checkpoint
-    report = json.load(open(os.path.join(evaldir, "eval_report.json")))
-    model = model_from_checkpoint(json.load(open(ckpt)))
+    report = _json(os.path.join(evaldir, "eval_report.json"))
+    model = model_from_checkpoint(_json(ckpt))
     oracle = fm.evaluate(model, read_jsonl(data), (10, 20, 50), True, seed=0)
     for k in (10, 20, 50):
         assert report["recall"][str(k)] == oracle["recall"][k]
@@ -244,8 +272,7 @@ def test_eval_writes_one_uncertainty_row_per_record(trained, tmp_path):
     data = os.path.join(outdir, "test.jsonl")
     assert main(["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
                  "--data", data, "--out", evaldir]) == 0
-    rows = [json.loads(l) for l in
-            open(os.path.join(evaldir, "eval_samples.jsonl"))]
+    rows = _jsonl(os.path.join(evaldir, "eval_samples.jsonl"))
     assert len(rows) == len(read_jsonl(data))
     for key in ("attn_aleatoric", "spat_epistemic", "cont_aleatoric"):
         assert all(np.isfinite(row[key]) for row in rows)
@@ -273,9 +300,8 @@ def test_eval_runs_one_forward_per_clip(tmp_path, monkeypatch):
 
     # the written rows are the reports of a fresh forward with the same
     # per-clip sampling streams
-    rows = [json.loads(line) for line in
-            open(os.path.join(evaldir, "eval_samples.jsonl"))]
-    model = model_from_checkpoint(json.load(open(ckpt)))
+    rows = _jsonl(os.path.join(evaldir, "eval_samples.jsonl"))
+    model = model_from_checkpoint(_json(ckpt))
     want = []
     root = nc.Rng(4)
     with nc.no_grad():
@@ -297,10 +323,10 @@ def test_eval_class_count_mismatch_names_both_values(trained, tmp_path, capsys):
     assert main(["gen-data", "--config", cfg, "--out", other]) == 0
     # shrink the label vectors so widths disagree with the checkpoint
     path = os.path.join(other, "test.jsonl")
-    docs = [json.loads(l) for l in open(path)]
+    docs = _jsonl(path)
     for doc in docs:
         doc["spat"] = doc["spat"][:-1]
-    open(path, "w").write("\n".join(json.dumps(d) for d in docs) + "\n")
+    Path(path).write_text("\n".join(json.dumps(d) for d in docs) + "\n")
     rc = main(["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
                "--data", path, "--out", str(tmp_path / "ev3")])
     assert rc == 1
@@ -316,6 +342,19 @@ def test_eval_rejects_non_checkpoint_json(trained, tmp_path):
     assert rc == 1
 
 
+def test_eval_checkpoint_field_of_wrong_type_names_it(trained, tmp_path, capsys):
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    doc["config"]["d"] = "8"
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"),
+               "--out", str(tmp_path / "ev6")])
+    assert rc == 1
+    assert "model config field 'd' must be int, got str" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -326,11 +365,11 @@ def test_ablate_table_structure(tmp_path):
     assert main(["ablate", "--config", cfg, "--out", outdir, "--k", "5",
                  "--variants", "full+gmm,no-decouple,no-frequency",
                  "--seeds-per-variant", "1"]) == 0
-    lines = open(os.path.join(outdir, "ablation.csv")).read().splitlines()
+    lines = Path(outdir, "ablation.csv").read_text().splitlines()
     assert lines[0] == "variant,seeds,mR@5_mean,mR@5_std"
     assert [row.split(",")[0] for row in lines[1:]] == [
         "full+gmm", "no-decouple", "no-frequency"]
-    raw = json.load(open(os.path.join(outdir, "ablation.json")))
+    raw = _json(os.path.join(outdir, "ablation.json"))
     assert len(raw["results"]) == 3       # variants x seeds
     # single seed: std column is exactly zero
     assert all(row.split(",")[3] == "0.0" for row in lines[1:])
@@ -350,7 +389,7 @@ def test_ablate_respects_worker_env_cap(tmp_path, monkeypatch):
     assert main(["ablate", "--config", cfg, "--out", outdir, "--k", "5",
                  "--variants", "full+gmm,no-decouple",
                  "--seeds-per-variant", "1"]) == 0
-    raw = json.load(open(os.path.join(outdir, "ablation.json")))
+    raw = _json(os.path.join(outdir, "ablation.json"))
     assert {r["variant"] for r in raw["results"]} == {"full+gmm", "no-decouple"}
     monkeypatch.setenv("FREMURE_THREADS", "zero")
     assert main(["ablate", "--config", cfg, "--out", outdir]) == 1
@@ -370,7 +409,7 @@ def test_diagnose_shared_reports_bounded_cosines(tmp_path):
     cfg, outdir = _gen(tmp_path)
     assert main(["diagnose", "--config", cfg, "--out", outdir,
                  "--steps", "3", "--shared"]) == 0
-    rows = [json.loads(l) for l in open(os.path.join(outdir, "diagnose.jsonl"))]
+    rows = _jsonl(os.path.join(outdir, "diagnose.jsonl"))
     assert [row["step"] for row in rows] == [1, 2, 3]
     for row in rows:
         assert row["applicable"] and row["shared_params"] > 0
@@ -382,7 +421,7 @@ def test_diagnose_decoupled_not_applicable(tmp_path, capsys):
     cfg, outdir = _gen(tmp_path)
     assert main(["diagnose", "--config", cfg, "--out", outdir,
                  "--steps", "1"]) == 0
-    row = json.loads(open(os.path.join(outdir, "diagnose.jsonl")).readline())
+    row = _jsonl(os.path.join(outdir, "diagnose.jsonl"))[0]
     assert row == {"step": 1, "applicable": False, "shared_params": 0,
                    "cosines": {}}
     assert "not applicable" in capsys.readouterr().out
@@ -394,7 +433,7 @@ def test_diagnose_can_start_from_checkpoint(tmp_path):
     assert main(["diagnose", "--config", cfg, "--out", outdir,
                  "--checkpoint", os.path.join(outdir, "checkpoint.json"),
                  "--steps", "1"]) == 0
-    row = json.loads(open(os.path.join(outdir, "diagnose.jsonl")).readline())
+    row = _jsonl(os.path.join(outdir, "diagnose.jsonl"))[0]
     assert row["applicable"]
 
 
@@ -418,7 +457,7 @@ def test_seed_flag_overrides_config(tmp_path):
     cfg, out1 = _gen(tmp_path, out="s1")
     out2 = str(tmp_path / "s2")
     assert main(["gen-data", "--config", cfg, "--out", out2, "--seed", "99"]) == 0
-    m1 = json.load(open(os.path.join(out1, "gen_data_manifest.json")))
-    m2 = json.load(open(os.path.join(out2, "gen_data_manifest.json")))
+    m1 = _json(os.path.join(out1, "gen_data_manifest.json"))
+    m2 = _json(os.path.join(out2, "gen_data_manifest.json"))
     assert m1["seed"] == 11 and m2["seed"] == 99
     assert m1["files"]["train.jsonl"] != m2["files"]["train.jsonl"]

@@ -1,13 +1,16 @@
 """Synthetic data generator and recall metrics against brute-force oracles."""
 
+import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fremure import data_metrics as dm
 from fremure import numcore as nc
+from fremure.cli import main
 from fremure.errors import ContractError
 from fremure.freqgate import compute_frequencies
 
@@ -119,6 +122,136 @@ def test_read_jsonl_bad_line_names_path_and_line(tmp_path, bad):
         fh.write("\n" + bad + "\n")          # a blank line 3, then line 4
     with pytest.raises(ContractError, match=re.escape(f"{path}, line 4: not a valid")):
         dm.read_jsonl(path)
+
+
+def _reference_split(cfg, n_clips, clip_base, protos, rng, taken):
+    """The generator as one record at a time, every draw a one-element Rng
+    call: the oracle for the block generator. `taken` counts the outcome of
+    each conditional draw, keyed (draw, taken)."""
+    pmf = {t: dm.zipf_pmf(c, cfg.zipf_s) for t, c in cfg.class_counts().items()}
+    records = []
+    for ci in range(n_clips):
+        for t in range(cfg.frames):
+            for p in range(cfg.pairs):
+                attn = int(rng.categorical(pmf["attn"])[0])
+                spat = {int(rng.categorical(pmf["spat"])[0])}
+                extra = rng.uniforms(1)[0] <= cfg.extra_label_rate
+                taken["extra_spat", extra] += 1
+                if extra:
+                    spat.add(int(rng.categorical(pmf["spat"])[0]))
+                cont = {int(rng.categorical(pmf["cont"])[0])}
+                extra = rng.uniforms(1)[0] <= cfg.extra_label_rate
+                taken["extra_cont", extra] += 1
+                if extra:
+                    cont.add(int(rng.categorical(pmf["cont"])[0]))
+
+                stack = [protos["attn"][attn]]
+                stack += [protos["spat"][c] for c in sorted(spat)]
+                stack += [protos["cont"][c] for c in sorted(cont)]
+                feat = np.mean(stack, axis=0) + cfg.noise * rng.normals(cfg.d)
+
+                flips = [rng.uniforms(1)[0] <= cfg.flip]
+                if flips[-1]:
+                    attn = int(rng.integers(cfg.attn_classes)[0])
+                flips.append(rng.uniforms(1)[0] <= cfg.flip)
+                if flips[-1]:
+                    spat = {int(rng.integers(cfg.spat_classes)[0])}
+                flips.append(rng.uniforms(1)[0] <= cfg.flip)
+                if flips[-1]:
+                    cont = {int(rng.integers(cfg.cont_classes)[0])}
+                for kind, flipped in zip(("flip_attn", "flip_spat", "flip_cont"), flips):
+                    taken[kind, flipped] += 1
+
+                spat_bits = [0] * cfg.spat_classes
+                for c in spat:
+                    spat_bits[c] = 1
+                cont_bits = [0] * cfg.cont_classes
+                for c in cont:
+                    cont_bits[c] = 1
+                records.append(dm.TripletRecord(
+                    clip=clip_base + ci, frame=t, subj=p, obj=cfg.pairs + p,
+                    feat=feat, attn=attn, spat=spat_bits, cont=cont_bits))
+    return records
+
+
+def _reference_dataset(cfg, seed, taken):
+    root = nc.Rng(seed)
+    proto_rng = root.spawn(0)
+    protos = {t: proto_rng.normals((c, cfg.d)) for t, c in cfg.class_counts().items()}
+    return (_reference_split(cfg, cfg.clips, 0, protos, root.spawn(1), taken),
+            _reference_split(cfg, cfg.test_clips, cfg.clips, protos, root.spawn(2), taken))
+
+
+def _random_cfg(pick, i):
+    """Small random configs; the first ones pin the edge values."""
+    edges = [dict(d=1), dict(d=3), dict(extra_label_rate=0.0),
+             dict(extra_label_rate=1.0), dict(flip=0.0), dict(flip=0.99),
+             dict(attn_classes=1, spat_classes=1, cont_classes=1),
+             dict(clips=1, test_clips=1, frames=1, pairs=1)]
+    cfg = dict(attn_classes=int(pick.integers(1, 7)), spat_classes=int(pick.integers(1, 7)),
+               cont_classes=int(pick.integers(1, 9)), zipf_s=float(pick.uniform(0.3, 3.0)),
+               d=int(pick.integers(1, 8)), clips=int(pick.integers(1, 4)),
+               test_clips=int(pick.integers(1, 3)), frames=int(pick.integers(1, 4)),
+               pairs=int(pick.integers(1, 4)), noise=float(pick.choice([0.0, 0.3, 2.0])),
+               flip=float(pick.uniform(0.0, 0.6)),
+               extra_label_rate=float(pick.uniform(0.0, 1.0)))
+    cfg.update(edges[i] if i < len(edges) else {})
+    return dm.SyntheticConfig(**cfg)
+
+
+def _same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.clip, g.frame, g.subj, g.obj) == (w.clip, w.frame, w.subj, w.obj)
+        assert g.feat.shape == w.feat.shape
+        assert g.feat.tobytes() == w.feat.tobytes()
+        assert (g.attn, g.spat, g.cont) == (w.attn, w.spat, w.cont)
+        assert type(g.attn) is int
+        assert all(type(b) is int for b in g.spat + g.cont)
+
+
+def test_block_generator_equals_record_by_record_draws():
+    pick = np.random.default_rng(20)
+    taken = Counter()
+    for i in range(36):
+        cfg = _random_cfg(pick, i)
+        seed = int(pick.integers(0, 2**63))
+        train, test, counts = dm.generate_dataset(cfg, seed)
+        want_train, want_test = _reference_dataset(cfg, seed, taken)
+        _same_records(train, want_train)
+        _same_records(test, want_test)
+        want_counts = dm.label_counts(want_train, cfg)
+        for t in dm.RELATION_TYPES:
+            assert counts[t].tolist() == want_counts[t].tolist()
+    # both outcomes of every conditional draw were exercised
+    for kind in ("extra_spat", "extra_cont", "flip_attn", "flip_spat", "flip_cont"):
+        assert taken[kind, True] > 0 and taken[kind, False] > 0, kind
+
+
+def test_default_dataset_bytes_are_pinned(tmp_path):
+    # sha256 of `fremure gen-data` at the default config and seed 0, as
+    # written by the record-at-a-time generator the block generator replaced
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+    want = {"train.jsonl": "7d20977cfa1bf5645d246a6373c8e03672244f460314fcb76e2dbd062a41d648",
+            "test.jsonl": "dc7af61fa469471406171c71641ff23b7ccb476e4a87258318b29a2ab4ed921e",
+            "prior.json": "61c0543388ae5147fa48dc437b652f05f21e7b965bbf32b2a713cad6ea25fccd"}
+    for name, sha in want.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
+
+
+def test_writing_one_record_feature_leaves_the_others():
+    cfg = _tiny_cfg()
+    train, _, _ = dm.generate_dataset(cfg, seed=4)
+    fresh, _, _ = dm.generate_dataset(cfg, seed=4)
+    train[3].feat[0] = np.nan
+    assert np.isnan(train[3].feat[0])
+    assert train[3].feat[1:].tobytes() == fresh[3].feat[1:].tobytes()
+    for i, (rec, ref) in enumerate(zip(train, fresh)):
+        if i != 3:
+            assert rec.feat.tobytes() == ref.feat.tobytes()
 
 
 def test_label_counts_hand_check():

@@ -207,11 +207,27 @@ class TestConfig:
         back = M.ModelConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "8"), ("d", 8.0), ("sigma_min", True), ("window_mode", 1),
+        ("flags.decouple", 1), ("flags.head", None)])
+    def test_from_json_names_a_field_of_the_wrong_type(self, key, value):
+        doc = _small_cfg().to_json()
+        section, name = (doc["flags"], key[6:]) if key.startswith("flags.") else (doc, key)
+        section[name] = value
+        with pytest.raises(ContractError, match=f"model config field '{key}' must be"):
+            M.ModelConfig.from_json(doc)
+
+    def test_from_json_takes_an_integer_for_a_float_field(self):
+        doc = _small_cfg().to_json()
+        doc["tau"] = 0
+        assert M.ModelConfig.from_json(doc) == _small_cfg(tau=0.0)
+
     def test_collects_all_problems(self):
         cfg = _small_cfg(d=9, window_s=5, window_w=3, sigma_min=0.0,
-                         flags=M.AblationFlags(head="resnet"))
+                         lam=float("inf"), flags=M.AblationFlags(head="resnet"))
         problems = "; ".join(cfg.problems())
-        for needle in ("divisible", "window_s", "sigma_min", "head"):
+        for needle in ("even", "divisible", "window_s", "sigma_min",
+                       "lam must be finite", "head"):
             assert needle in problems
         with pytest.raises(ContractError):
             cfg.validate()
