@@ -255,14 +255,20 @@ def label_counts(records, cfg) -> dict:
     """Per-task label counts of `records`. `cfg` is any config with
     `attn_classes`, `spat_classes` and `cont_classes` (a `SyntheticConfig`
     or a `ModelConfig`)."""
-    counts = {"attn": np.zeros(cfg.attn_classes),
-              "spat": np.zeros(cfg.spat_classes),
-              "cont": np.zeros(cfg.cont_classes)}
-    for rec in records:
-        counts["attn"][rec.attn] += 1
-        counts["spat"] += np.asarray(rec.spat, dtype=np.float64)
-        counts["cont"] += np.asarray(rec.cont, dtype=np.float64)
-    return counts
+    n = len(records)
+    attn = np.fromiter((rec.attn for rec in records), dtype=np.int64, count=n)
+    if n and (attn.min() < 0 or attn.max() >= cfg.attn_classes):
+        raise ContractError(f"attention label outside [0, {cfg.attn_classes})")
+    try:
+        spat = np.array([rec.spat for rec in records], dtype=np.float64)
+        cont = np.array([rec.cont for rec in records], dtype=np.float64)
+        spat, cont = spat.reshape(n, cfg.spat_classes), cont.reshape(n, cfg.cont_classes)
+    except ValueError:
+        raise ContractError(f"spatial and contact labels must be {cfg.spat_classes} "
+                            f"and {cfg.cont_classes} wide in every record")
+    # integer-valued sums, so exact in any order
+    return {"attn": np.bincount(attn, minlength=cfg.attn_classes).astype(np.float64),
+            "spat": spat.sum(axis=0), "cont": cont.sum(axis=0)}
 
 
 def generate_dataset(cfg: SyntheticConfig, seed: int):

@@ -4,11 +4,15 @@ Three interchangeable heads over a d-dim pair embedding: a plain linear
 baseline, a sampling head that draws logits from a predicted Gaussian and
 averages the resulting probabilities, and a mixture head that scores each
 class with its own K-component 1-D Gaussian mixture over a learned scalar
-projection. All heads return (class probabilities, uncertainty report) from
-``predict`` so the model can swap them freely.
+projection.
 
-Single-label mode treats the C outputs as one categorical distribution;
-multi-label mode treats them as C independent Bernoullis.
+Every head produces logits and no probabilities: unnormalised class logits in
+single-label mode, where the C outputs are one categorical distribution, and
+per-class log-odds in multi-label mode, where they are C independent
+Bernoullis. Losses take those logits, so a target probability that underflows
+still has a finite loss and a gradient. ``Head.predict`` builds the
+probabilities and the uncertainty report from the logits, the same way for
+every head, so the model can swap heads freely.
 
 The mixture head keeps every component variance at least sigma_min through a
 softplus reparameterization, so no component can collapse onto a single
@@ -27,7 +31,6 @@ from .errors import ContractError
 from .freqgate import FrequencyPrior
 
 LOG_2PI = math.log(2.0 * math.pi)
-PROB_FLOOR = 1e-12
 
 MODES = ("single", "multi")
 
@@ -50,43 +53,45 @@ def _check_mode(mode: str):
 
 
 def _activate(logits: nc.Tensor, mode: str) -> nc.Tensor:
+    """Probabilities from logits: softmax (single) or sigmoid (multi)."""
     return nc.softmax(logits, axis=-1) if mode == "single" else nc.sigmoid(logits)
 
 
-def entropy_rows(probs: np.ndarray, mode: str) -> np.ndarray:
-    """Per-sample prediction entropy in nats; accepts (C,) or (N, C)."""
-    raw = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    p = np.clip(raw, PROB_FLOOR, 1.0)
+def entropy_rows(logits: np.ndarray, mode: str) -> np.ndarray:
+    """Per-sample entropy in nats of the prediction that ``logits`` give;
+    accepts (C,) or (N, C). Log-probabilities come straight from the logits,
+    so a vanishing probability adds exactly 0 rather than a clipped term."""
+    x = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     if mode == "single":
-        return -(p * np.log(p)).sum(axis=-1)
-    q = np.clip(1.0 - raw, PROB_FLOOR, 1.0)
-    return -(p * np.log(p) + q * np.log(q)).mean(axis=-1)
+        shifted = x - x.max(axis=-1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return -(np.exp(log_p) * log_p).sum(axis=-1)
+    log_p, log_q = -np.logaddexp(0.0, -x), -np.logaddexp(0.0, x)
+    return -(np.exp(log_p) * log_p + np.exp(log_q) * log_q).mean(axis=-1)
 
 
-def probability_loss(probs: nc.Tensor, target, mode: str) -> nc.Tensor:
-    """Negative log mean probability at the target (single-label) or mean
-    binary cross-entropy over per-class mean probabilities (multi-label)."""
-    _check_mode(mode)
-    n = probs.shape[-1]
-    if mode == "single":
-        target = int(target)
-        if not 0 <= target < n:
-            raise ContractError(f"target {target} outside [0, {n})")
-        return -nc.log(nc.maximum(probs[target], PROB_FLOOR))
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != probs.shape:
-        raise ContractError(f"target shape {target.shape} != probs shape {probs.shape}")
-    y = nc.Tensor(target)
-    p = nc.maximum(probs, PROB_FLOOR)
-    q = nc.maximum(1.0 - probs, PROB_FLOOR)
-    return -(y * nc.log(p) + (1.0 - y) * nc.log(q)).mean()
+class Head(nc.Module):
+    """What the three heads share. A head class defines only
+    ``logits_and_variance(z, rng, training)``: its logits for embeddings z,
+    (d,) or (N, d), and its aleatoric variance, per row or one value for
+    every row."""
+
+    def predict(self, z: nc.Tensor, rng: nc.Rng | None = None,
+                training: bool = False, **options):
+        """(logits, probabilities, uncertainty report). ``options`` go to the
+        head's ``logits_and_variance``."""
+        logits, variance = self.logits_and_variance(z, rng, training, **options)
+        ent = entropy_rows(logits.data, self.mode)
+        ale = np.full(ent.shape, variance, dtype=np.float64)
+        report = UncertaintyReport(float(ale.mean()), float(ent.mean()), ale, ent)
+        return logits, _activate(logits, self.mode), report
 
 
 # ---------------------------------------------------------------------------
 # linear baseline
 # ---------------------------------------------------------------------------
 
-class LinearHead(nc.Module):
+class LinearHead(Head):
     """Plain logits head; the degenerate reference for the sampling head."""
 
     def __init__(self, d: int, n_classes: int, rng: nc.Rng, mode: str = "single"):
@@ -95,26 +100,26 @@ class LinearHead(nc.Module):
         self.mode = mode
         self.n_classes = n_classes
 
-    def predict(self, z: nc.Tensor, rng: nc.Rng | None = None, training: bool = False):
-        probs = _activate(self.lin(z), self.mode)
-        ent = entropy_rows(probs.data, self.mode)
-        report = UncertaintyReport(0.0, float(ent.mean()),
-                                   np.zeros_like(ent), ent)
-        return probs, report
+    def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
+                            training: bool = False):
+        return self.lin(z), 0.0
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling head
 # ---------------------------------------------------------------------------
 
-class BayesianHead(nc.Module):
-    """Predicts per-class logit mean and log-variance; averages activated
-    probabilities over S reparameterized draws logit = mu + eps * sigma.
+class BayesianHead(Head):
+    """Predicts per-class logit mean and log-variance, and averages the
+    activated probabilities over S reparameterized draws logit = mu + eps *
+    sigma. Its logits are those whose activation is that mean, taken in log
+    space: single-label, the log-sum-exp over draws of each draw's
+    log-softmax; multi-label, the log-sum-exp over draws of log sigmoid(x)
+    minus that of log sigmoid(-x). The log S of each mean cancels.
 
     When every predicted variance is exactly zero (reachable only by clamping
-    the log-variance far negative), the sample mean is computed in closed form
-    as the activation of mu, making the degenerate case bit-equal to the
-    linear head and independent of S.
+    the log-variance far negative), the logits are mu itself, making the
+    degenerate case bit-equal to the linear head and independent of S.
     """
 
     def __init__(self, d: int, n_classes: int, rng: nc.Rng, s_train: int = 5,
@@ -129,30 +134,27 @@ class BayesianHead(nc.Module):
         self.mode = mode
         self.n_classes = n_classes
 
-    def predict(self, z: nc.Tensor, rng: nc.Rng | None = None, training: bool = False,
-                n_samples: int | None = None):
+    def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
+                            training: bool = False, n_samples: int | None = None):
         s = n_samples if n_samples is not None else (self.s_train if training else self.s_eval)
         if s < 1:
             raise ContractError("sample count must be >= 1")
         mu = self.mu(z)
         logvar = self.logvar(z)
-        var = nc.exp(logvar)
-        if np.all(var.data == 0.0):
-            probs = _activate(mu, self.mode)
-            ent = entropy_rows(probs.data, self.mode)
-            return probs, UncertaintyReport(0.0, float(ent.mean()),
-                                            np.zeros_like(ent), ent)
+        var = np.exp(logvar.data)
+        variance = var.mean(axis=-1)
+        if np.all(var == 0.0):
+            return mu, variance
         if rng is None:
             raise ContractError("sampling requires an Rng")
         sigma = nc.exp(logvar * 0.5)
         eps = nc.Tensor(rng.normals((s,) + mu.shape))
         draws = mu + eps * sigma                # (s, ..., C) by broadcast
-        probs = _activate(draws, self.mode).mean(axis=0)
-        ent = entropy_rows(probs.data, self.mode)
-        ale = np.atleast_1d(var.data.mean(axis=-1))
-        report = UncertaintyReport(float(var.data.mean()), float(ent.mean()),
-                                   ale, ent)
-        return probs, report
+        if self.mode == "single":
+            return nc.log_sum_exp(nc.log_softmax(draws, axis=-1), axis=0), variance
+        log_p = nc.log_sum_exp(-nc.softplus(-draws), axis=0)
+        log_q = nc.log_sum_exp(-nc.softplus(draws), axis=0)
+        return log_p - log_q, variance
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def _np_lse(x: np.ndarray) -> float:
     return float(shift + np.log(np.exp(x - shift).sum()))
 
 
-class GmmPlusHead(nc.Module):
+class GmmPlusHead(Head):
     """Per-class K-component mixtures over learned scalar class scores.
 
     Each class c owns means mu_{c,k}, raw variance parameters rho_{c,k}
@@ -245,16 +247,12 @@ class GmmPlusHead(nc.Module):
         log_density = nc.log_sum_exp(log_pi + log_pdf, axis=-1)
         return log_density + self.bias
 
-    def predict(self, z: nc.Tensor, rng: nc.Rng | None = None, training: bool = False):
+    def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
+                            training: bool = False):
         logits = self.class_logits(z, rng, training)
-        probs = _activate(logits, self.mode)
-        pi = self.mixture_weights()
         # class-level mixture variances: the same for every sample in a batch
-        aleatoric = float((pi * self.variances().data).sum(axis=-1).mean())
-        ent = entropy_rows(probs.data, self.mode)
-        report = UncertaintyReport(aleatoric, float(ent.mean()),
-                                   np.full_like(ent, aleatoric), ent)
-        return probs, report
+        pi = self.mixture_weights()
+        return logits, float((pi * self.variances().data).sum(axis=-1).mean())
 
     def regularizer(self, prior: FrequencyPrior) -> nc.Tensor:
         """lam * sum_c w_c sum_k max(0, sigma_target^2 - var_{c,k}) with
@@ -272,7 +270,7 @@ class GmmPlusHead(nc.Module):
 
 
 def build_head(kind: str, d: int, n_classes: int, rng: nc.Rng, mode: str,
-               **kwargs) -> nc.Module:
+               **kwargs) -> Head:
     if kind == "linear":
         return LinearHead(d, n_classes, rng, mode=mode)
     if kind == "bayesian":

@@ -3,7 +3,9 @@
 A clip is a list of pair records sharing one clip id. Each record carries a
 raw feature vector plus one attention label and multi-hot spatial and contact
 labels. The model projects features, refines them with the dual-branch
-pair-encoding stack, and classifies each task with its own head.
+pair-encoding stack, and classifies each task with its own head. Heads give
+logits; the attention and BCE losses take those logits, and the margin loss
+ranks the probabilities the heads build from them.
 
 Decoupled mode (the default) gives every task a disjoint stack: its own input
 projection, encoder, and head, so no parameter is touched by more than one
@@ -27,7 +29,7 @@ from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
 from .errors import ContractError, NumericalError
 from .freqgate import FrequencyPrior, compute_frequencies
-from .heads import PROB_FLOOR, build_head
+from .heads import build_head
 from .numcore import Tensor
 
 TYPES = ("attn", "spat", "cont")
@@ -158,13 +160,18 @@ def _check_json_types(cls, doc: dict, prefix: str):
 # loss operations
 # ---------------------------------------------------------------------------
 
-def loss_attention(logits: Tensor, target: int) -> Tensor:
-    """Single-label cross-entropy: -log softmax(logits)[target]."""
+def loss_attention(logits: Tensor, targets) -> Tensor:
+    """Single-label cross-entropy -log softmax(logits)[target], averaged over
+    rows: (C,) logits take one target, (N, C) logits N of them."""
     n = logits.shape[-1]
-    target = int(target)
-    if not 0 <= target < n:
-        raise ContractError(f"target {target} outside [0, {n})")
-    return -nc.log_softmax(logits, axis=-1)[target]
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != logits.shape[:-1]:
+        raise ContractError(f"target shape {targets.shape} != logit rows "
+                            f"{logits.shape[:-1]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        raise ContractError(f"target outside [0, {n})")
+    rows = tuple(np.indices(targets.shape))     # none for (C,) logits
+    return -nc.log_softmax(logits, axis=-1)[rows + (targets,)].mean()
 
 
 def loss_multilabel_bce(logits: Tensor, targets) -> Tensor:
@@ -192,18 +199,6 @@ def loss_multilabel_margin(scores: Tensor, positives, negatives) -> Tensor:
     sp = nc.reshape(scores[pos], (pos.size, 1))
     sn = nc.reshape(scores[neg], (1, neg.size))
     return nc.maximum(1.0 - sp + sn, 0.0).mean()
-
-
-def _nll_rows(probs: Tensor, targets: np.ndarray) -> Tensor:
-    picked = probs[np.arange(probs.shape[0]), targets]
-    return -nc.log(nc.maximum(picked, PROB_FLOOR)).mean()
-
-
-def _bce_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
-    y = Tensor(bits)
-    p = nc.maximum(probs, PROB_FLOOR)
-    q = nc.maximum(1.0 - probs, PROB_FLOOR)
-    return -(y * nc.log(p) + (1.0 - y) * nc.log(q)).mean()
 
 
 def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
@@ -289,8 +284,9 @@ class FremureModel(nc.Module):
                                     "configured class counts")
 
     def forward(self, clip, rng: nc.Rng | None = None, training: bool = False):
-        """Returns {"probs": {task: (N, C_task) Tensor}, "reports": {task: ...}}
-        with rows aligned to the clip's record order."""
+        """Returns {"logits": ..., "probs": ..., "reports": ...}, each keyed
+        by task: (N, C_task) logit and probability Tensors and the head's
+        `UncertaintyReport`, rows aligned to the clip's record order."""
         self._check_clip(clip)
         feats = np.array([r.feat for r in clip], dtype=np.float64)
         frames = np.asarray([r.frame for r in clip], dtype=np.int64)
@@ -299,11 +295,12 @@ class FremureModel(nc.Module):
         pair_ids = np.asarray([codes[p] for p in pair_keys], dtype=np.int64)
         embeds = self._embed(feats, clip_layout(frames, pair_ids))
 
-        probs, reports = {}, {}
+        out = {"logits": {}, "probs": {}, "reports": {}}
         for i, t in enumerate(TYPES):
             child = rng.spawn(i) if rng is not None else None
-            probs[t], reports[t] = self.heads[t].predict(embeds[t], child, training)
-        return {"probs": probs, "reports": reports}
+            out["logits"][t], out["probs"][t], out["reports"][t] = \
+                self.heads[t].predict(embeds[t], child, training)
+        return out
 
     __call__ = forward
 
@@ -331,10 +328,12 @@ class FremureModel(nc.Module):
         attn = np.asarray([r.attn for r in clip], dtype=np.int64)
         spat = np.asarray([r.spat for r in clip], dtype=np.float64)
         cont = np.asarray([r.cont for r in clip], dtype=np.float64)
-        multi = _bce_rows if self.cfg.multilabel_loss == "bce" else _margin_rows
-        losses = {"attn": _nll_rows(out["probs"]["attn"], attn),
-                  "spat": multi(out["probs"]["spat"], spat),
-                  "cont": multi(out["probs"]["cont"], cont)}
+        losses = {"attn": loss_attention(out["logits"]["attn"], attn)}
+        for t, bits in (("spat", spat), ("cont", cont)):
+            if self.cfg.multilabel_loss == "bce":
+                losses[t] = loss_multilabel_bce(out["logits"][t], bits)
+            else:
+                losses[t] = _margin_rows(out["probs"][t], bits)
         reg = Tensor(0.0)
         for t in TYPES:
             head = self.heads[t]
@@ -594,18 +593,26 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def checkpoint_dict(model: FremureModel, epoch: int, seed: int,
-                    optimizer: nc.Adam | None = None) -> dict:
-    doc = {
+def checkpoint_dict(model: FremureModel, epoch: int, seed: int) -> dict:
+    return {
         "config": model.cfg.to_json(),
         "priors": {t: model.priors[t].counts.tolist() for t in TYPES},
         "parameters": {k: p.data.tolist() for k, p in model.parameters().items()},
         "epoch": int(epoch),
         "seed": int(seed),
     }
-    if optimizer is not None:
-        doc["optimizer"] = optimizer.state_dict()
-    return doc
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """A checkpoint entry as a float64 array; ContractError naming ``key``
+    unless it is a number or a rectangular nest of numbers."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(np.float64)
+    except ValueError:                  # ragged nesting
+        pass
+    raise ContractError(f"checkpoint '{key}' must hold only numbers")
 
 
 def model_from_checkpoint(doc: dict) -> FremureModel:
@@ -614,16 +621,21 @@ def model_from_checkpoint(doc: dict) -> FremureModel:
     if missing:
         raise ContractError(f"checkpoint missing required keys: {missing}")
     cfg = ModelConfig.from_json(doc["config"])
-    model = FremureModel(cfg, nc.Rng(int(doc["seed"])).spawn(0))
-    model.set_priors({t: np.asarray(v, dtype=np.float64)
-                      for t, v in doc["priors"].items()})
+    seed, priors, stored = doc["seed"], doc["priors"], doc["parameters"]
+    if type(seed) is not int:
+        raise ContractError(f"checkpoint 'seed' must be an integer, got "
+                            f"{type(seed).__name__}")
+    for key in ("priors", "parameters"):
+        if not isinstance(doc[key], dict):
+            raise ContractError(f"checkpoint '{key}' must be an object")
+    model = FremureModel(cfg, nc.Rng(seed).spawn(0))
+    model.set_priors({t: _numbers(priors.get(t), f"priors.{t}") for t in TYPES})
     params = model.parameters()
-    stored = doc["parameters"]
     if set(stored) != set(params):
         raise ContractError("checkpoint parameter names do not match the "
                             "configured architecture")
     for key, p in params.items():
-        arr = np.asarray(stored[key], dtype=np.float64)
+        arr = _numbers(stored[key], f"parameters.{key}")
         if arr.shape != p.data.shape:
             raise ContractError(f"checkpoint shape {arr.shape} != expected "
                                 f"{p.data.shape} for '{key}'")

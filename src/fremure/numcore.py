@@ -867,24 +867,6 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.tolist() for k, v in self._split(self.m).items()},
-            "v": {k: v.tolist() for k, v in self._split(self.v).items()},
-        }
-
-    def load_state_dict(self, state: dict):
-        self.t = int(state["t"])
-        ms, vs = self._split(self.m), self._split(self.v)
-        for key, p in self.params.items():
-            m = np.asarray(state["m"][key], dtype=np.float64)
-            v = np.asarray(state["v"][key], dtype=np.float64)
-            if m.shape != p.data.shape or v.shape != p.data.shape:
-                raise ContractError(f"optimizer state shape mismatch for '{key}'")
-            ms[key][...] = m
-            vs[key][...] = v
-
 
 # ---------------------------------------------------------------------------
 # gradient verification

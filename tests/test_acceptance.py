@@ -398,7 +398,7 @@ def test_criterion_8_sampling_head_variance_decays_inversely_with_draws():
     stds = []
     for s in draws:
         reps = np.stack([head.predict(z, nc.Rng(500 + r), training=False,
-                                      n_samples=s)[0].data
+                                      n_samples=s)[1].data
                          for r in range(50)])
         stds.append(float(reps.std(axis=0, ddof=1).mean()))
     logs = np.log(np.asarray(draws, dtype=np.float64))

@@ -355,6 +355,27 @@ def test_eval_checkpoint_field_of_wrong_type_names_it(trained, tmp_path, capsys)
     assert "model config field 'd' must be int, got str" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, named", [
+    ("priors", "priors.spat"), ("parameters", "parameters.heads.attn.bias"),
+    ("seed", "seed")])
+def test_eval_checkpoint_string_value_names_its_key(trained, tmp_path, capsys,
+                                                    key, named):
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    if key == "seed":
+        doc["seed"] = "x"
+    else:
+        section = doc[key][named.split(".", 1)[1]]
+        section[0] = "x"
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"),
+               "--out", str(tmp_path / "ev7")])
+    assert rc == 1
+    assert f"checkpoint '{named}' must" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -266,6 +266,37 @@ def test_label_counts_hand_check():
     assert counts["cont"].tolist() == [1, 2]
 
 
+def test_label_counts_equal_a_record_loop():
+    pick = np.random.default_rng(21)
+    for i in range(12):
+        cfg = _random_cfg(pick, i)
+        train, _, _ = dm.generate_dataset(cfg, int(pick.integers(0, 2**63)))
+        for records in (train, train[:1], []):
+            want = {"attn": np.zeros(cfg.attn_classes),
+                    "spat": np.zeros(cfg.spat_classes),
+                    "cont": np.zeros(cfg.cont_classes)}
+            for rec in records:
+                want["attn"][rec.attn] += 1
+                want["spat"] += rec.spat
+                want["cont"] += rec.cont
+            got = dm.label_counts(records, cfg)
+            for t in dm.RELATION_TYPES:
+                assert got[t].dtype == np.float64
+                assert got[t].tolist() == want[t].tolist(), (i, t)
+
+
+def test_label_counts_reject_labels_the_config_cannot_hold():
+    cfg = _tiny_cfg(attn_classes=2, spat_classes=2, cont_classes=2)
+
+    def rec(attn, spat):
+        return dm.TripletRecord(0, 0, 0, 1, np.zeros(4), attn, spat, [0, 1])
+
+    for bad in ([rec(0, [1, 0]), rec(-1, [0, 1])], [rec(2, [1, 0])],
+                [rec(0, [1, 0]), rec(1, [1])], [rec(0, [1, 0, 1])]):
+        with pytest.raises(ContractError):
+            dm.label_counts(bad, cfg)
+
+
 def test_group_clips_sorted():
     recs = [
         dm.TripletRecord(1, 1, 0, 1, np.zeros(2), 0, [1], [1]),

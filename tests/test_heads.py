@@ -11,6 +11,7 @@ from fremure import heads
 from fremure import numcore as nc
 from fremure.errors import ContractError
 from fremure.freqgate import compute_frequencies
+from fremure.model import loss_attention, loss_multilabel_bce
 
 # E[sigmoid(x)] and Var[sigmoid(x)] for x ~ N(1, 0.5), frozen from adaptive
 # quadrature at high precision; drives the Monte Carlo consistency check.
@@ -18,42 +19,42 @@ MC_MEAN = 0.7115731678447065
 MC_VAR = 0.01811536398703595
 
 # ---------------------------------------------------------------------------
-# probability_loss
+# the training losses on head logits
 # ---------------------------------------------------------------------------
 
 
 def test_loss_perfect_prediction_is_zero():
-    probs = nc.Tensor([1.0, 0.0, 0.0])
-    assert heads.probability_loss(probs, 0, "single").item() == 0.0
+    logits = nc.Tensor([0.0, -1000.0, -1000.0])    # probabilities [1, 0, 0]
+    assert loss_attention(logits, 0).item() == 0.0
 
 
 def test_loss_uniform_two_class():
-    probs = nc.Tensor([0.5, 0.5])
-    assert heads.probability_loss(probs, 1, "single").item() == pytest.approx(math.log(2.0))
+    logits = nc.Tensor([0.0, 0.0])
+    assert loss_attention(logits, 1).item() == pytest.approx(math.log(2.0))
 
 
 def test_loss_matches_direct_negative_log():
-    probs = nc.Tensor([0.2, 0.5, 0.3])
-    got = heads.probability_loss(probs, 2, "single").item()
+    logits = nc.Tensor(np.log([0.2, 0.5, 0.3]))
+    got = loss_attention(logits, 2).item()
     assert got == pytest.approx(-math.log(0.3), abs=1e-15)
 
 
 def test_loss_multi_label_matches_manual_bce():
-    probs = nc.Tensor([0.9, 0.2, 0.5])
+    probs = np.array([0.9, 0.2, 0.5])
     target = np.array([1.0, 0.0, 1.0])
-    got = heads.probability_loss(probs, target, "multi").item()
+    got = loss_multilabel_bce(nc.Tensor(np.log(probs / (1.0 - probs))), target).item()
     expect = -(math.log(0.9) + math.log(0.8) + math.log(0.5)) / 3.0
     assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_loss_contract_errors():
-    probs = nc.Tensor([0.5, 0.5])
+    logits = nc.Tensor([0.0, 0.0])
     with pytest.raises(ContractError):
-        heads.probability_loss(probs, 2, "single")
+        loss_attention(logits, 2)
     with pytest.raises(ContractError):
-        heads.probability_loss(probs, np.array([1.0, 0.0, 0.0]), "multi")
+        loss_multilabel_bce(logits, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ContractError):
-        heads.probability_loss(probs, 0, "soft")
+        heads.build_head("linear", 2, 2, nc.Rng(0), "soft")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def _clamped_bayesian(d=4, c=3, seed=1, mode="single"):
 
 def test_linear_head_single_label_probs_normalized():
     head = heads.LinearHead(5, 4, nc.Rng(2))
-    probs, report = head.predict(nc.Tensor(nc.Rng(3).normals(5)))
+    _, probs, report = head.predict(nc.Tensor(nc.Rng(3).normals(5)))
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
     assert report.aleatoric == 0.0
     assert 0.0 <= report.epistemic <= math.log(4) + 1e-12
@@ -82,12 +83,13 @@ def test_bayesian_zero_variance_equals_linear_head_exactly():
     lin.lin.w.data = np.array(bay.mu.w.data)
     lin.lin.b.data = np.array(bay.mu.b.data)
     z = nc.Tensor(nc.Rng(5).normals(4))
-    p_bay, rep = bay.predict(z, nc.Rng(6), training=True)
-    p_lin, _ = lin.predict(z)
+    l_bay, p_bay, rep = bay.predict(z, nc.Rng(6), training=True)
+    l_lin, p_lin, _ = lin.predict(z)
+    assert np.array_equal(l_bay.data, l_lin.data)
     assert np.array_equal(p_bay.data, p_lin.data)
     assert rep.aleatoric == 0.0
     # independent of the sample count in the degenerate case
-    p_again, _ = bay.predict(z, nc.Rng(7), n_samples=17)
+    _, p_again, _ = bay.predict(z, nc.Rng(7), n_samples=17)
     assert np.array_equal(p_bay.data, p_again.data)
 
 
@@ -97,7 +99,7 @@ def test_bayesian_symmetric_means_give_near_uniform():
     head.mu.b.data[:] = 0.0
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = 0.0  # unit variance
-    probs, _ = head.predict(nc.Tensor(np.zeros(3)), nc.Rng(9), n_samples=10000)
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(3)), nc.Rng(9), n_samples=10000)
     assert probs.data == pytest.approx([0.5, 0.5], abs=0.02)
 
 
@@ -109,7 +111,7 @@ def test_bayesian_matches_independent_mc_oracle():
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = math.log(0.25)
     s = 10**6
-    probs, _ = head.predict(nc.Tensor(np.zeros(2)), nc.Rng(11), n_samples=s)
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(2)), nc.Rng(11), n_samples=s)
     se = math.sqrt(MC_VAR / s)
     assert abs(probs.data[0] - MC_MEAN) < 3 * se * 2  # head stream + oracle se margin
     # second, generator-independent estimate of the same expectation
@@ -125,7 +127,7 @@ def test_bayesian_sampling_noise_shrinks_with_s():
     master = nc.Rng(15)
 
     def spread(s, repeats=30):
-        outs = [head.predict(z, master.spawn(s * 1000 + r), n_samples=s)[0].data[0]
+        outs = [head.predict(z, master.spawn(s * 1000 + r), n_samples=s)[1].data[0]
                 for r in range(repeats)]
         return np.std(outs)
 
@@ -136,10 +138,27 @@ def test_bayesian_report_fields():
     head = heads.BayesianHead(3, 4, nc.Rng(16))
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = math.log(0.3)
-    probs, report = head.predict(nc.Tensor(nc.Rng(17).normals(3)), nc.Rng(18))
+    _, probs, report = head.predict(nc.Tensor(nc.Rng(17).normals(3)), nc.Rng(18))
     assert report.aleatoric == pytest.approx(0.3, abs=1e-12)
     assert 0.0 <= report.epistemic <= math.log(4) + 1e-12
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", heads.MODES)
+def test_bayesian_logits_activate_to_the_mean_of_the_draws(mode):
+    head = heads.BayesianHead(4, 5, nc.Rng(60), mode=mode)
+    head.logvar.b.data[:] = 1.0                  # wide draws
+    z = nc.Tensor(nc.Rng(61).normals((3, 4)))
+    _, probs, _ = head.predict(z, nc.Rng(62), n_samples=7)
+    mu = z.data @ head.mu.w.data + head.mu.b.data
+    sigma = np.exp(0.5 * (z.data @ head.logvar.w.data + head.logvar.b.data))
+    draws = mu + nc.Rng(62).normals((7, 3, 5)) * sigma
+    if mode == "single":
+        e = np.exp(draws - draws.max(axis=-1, keepdims=True))
+        want = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0)
+    else:
+        want = (1.0 / (1.0 + np.exp(-draws))).mean(axis=0)
+    np.testing.assert_allclose(probs.data, want, rtol=1e-13, atol=0)
 
 
 def test_bayesian_sample_count_contract():
@@ -161,8 +180,8 @@ def test_bayesian_reparameterized_gradients_match_fd():
         head.mu.w = w
         try:
             # fresh generator per call keeps the noise constants identical
-            probs, _ = head.predict(z_fixed, nc.Rng(24), training=True)
-            return heads.probability_loss(probs, 1, "single")
+            logits, _, _ = head.predict(z_fixed, nc.Rng(24), training=True)
+            return loss_attention(logits, 1)
         finally:
             head.mu.w = saved
 
@@ -246,7 +265,7 @@ def test_gmm_symmetric_classes_split_evenly():
     head.rho.data[:] = 0.0
     head.mix.data[:] = 0.0
     head.bias.data[:] = 0.0
-    probs, _ = head.predict(nc.Tensor(np.zeros(4)))
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(4)))
     assert probs.data == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
@@ -257,7 +276,7 @@ def test_gmm_dominated_class_posterior_vanishes():
     head.means.data = np.array([[50.0], [0.0], [0.0]])  # class 0 far from its score
     head.rho.data[:] = 0.0
     head.mix.data[:] = 0.0
-    probs, _ = head.predict(nc.Tensor(np.zeros(4)))
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(4)))
     assert probs.data[0] < 1e-100
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -267,7 +286,7 @@ def test_gmm_classify_composes_density_oracle():
     head.mix.data = nc.Rng(33).normals((3, 3))
     head.rho.data = nc.Rng(34).normals((3, 3))
     z = nc.Tensor(nc.Rng(35).normals(5))
-    probs, _ = head.predict(z)
+    _, probs, _ = head.predict(z)
 
     scores = z.data @ head.proj.w.data + head.proj.b.data
     var = head.sigma_min + np.logaddexp(0.0, head.rho.data)
@@ -286,7 +305,7 @@ def test_gmm_single_label_posterior_normalized(seed):
     rng = nc.Rng(seed)
     head = heads.GmmPlusHead(4, 5, rng, k=2)
     head.mix.data = rng.normals((5, 2)) * 2.0
-    probs, _ = head.predict(nc.Tensor(rng.normals(4)))
+    _, probs, _ = head.predict(nc.Tensor(rng.normals(4)))
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(probs.data >= 0.0)
 
@@ -350,8 +369,8 @@ def test_gmm_gradients_match_fd():
         saved = getattr(head, attr)
         setattr(head, attr, value)
         try:
-            probs, _ = head.predict(z_fixed, training=False)
-            return heads.probability_loss(probs, 2, "single") + head.regularizer(prior)
+            logits, _, _ = head.predict(z_fixed, training=False)
+            return loss_attention(logits, 2) + head.regularizer(prior)
         finally:
             setattr(head, attr, saved)
 
@@ -377,6 +396,6 @@ def test_build_head_kinds():
 
 def test_multi_label_mode_outputs_independent_probabilities():
     head = heads.GmmPlusHead(4, 3, nc.Rng(50), mode="multi")
-    probs, report = head.predict(nc.Tensor(nc.Rng(51).normals(4)))
+    _, probs, report = head.predict(nc.Tensor(nc.Rng(51).normals(4)))
     assert np.all((probs.data > 0.0) & (probs.data < 1.0))
     assert report.epistemic <= math.log(2.0) + 1e-12

@@ -2,6 +2,7 @@
 training determinism, and checkpoints."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fremure import numcore as nc
 from fremure import model as M
 from fremure.data_metrics import SyntheticConfig, TripletRecord, generate_dataset, group_clips
 from fremure.errors import ContractError, NumericalError
-from fremure.heads import probability_loss
 
 # mpmath, 40 digits
 CE_123_T0 = 2.4076059644443803   # -log softmax([1,2,3])[0]
@@ -114,20 +114,24 @@ class TestLossOps:
 
     def test_batched_single_label_loss_equals_rowwise(self):
         rng = nc.Rng(6)
-        probs = nc.softmax(nc.Tensor(rng.normals((5, 4))), axis=-1)
+        logits = nc.Tensor(rng.normals((5, 4)))
         targets = rng.integers(4, 5)
-        got = M._nll_rows(probs, targets).item()
-        rows = [probability_loss(probs[i], targets[i], "single").item()
-                for i in range(5)]
+        got = M.loss_attention(logits, targets).item()
+        rows = [M.loss_attention(logits[i], targets[i]).item() for i in range(5)]
         assert got == pytest.approx(np.mean(rows), rel=1e-14)
+
+    def test_batched_attention_loss_rejects_bad_targets(self):
+        logits = nc.Tensor(np.zeros((3, 4)))
+        for targets in ([0, 1], [0, 1, 4], [[0, 1, 2]]):
+            with pytest.raises(ContractError):
+                M.loss_attention(logits, targets)
 
     def test_batched_bce_equals_rowwise(self):
         rng = nc.Rng(7)
-        probs = nc.sigmoid(nc.Tensor(rng.normals((5, 4))))
+        logits = nc.Tensor(rng.normals((5, 4)))
         bits = (rng.uniforms(20) < 0.5).astype(np.float64).reshape(5, 4)
-        got = M._bce_rows(probs, bits).item()
-        rows = [probability_loss(probs[i], bits[i], "multi").item()
-                for i in range(5)]
+        got = M.loss_multilabel_bce(logits, bits).item()
+        rows = [M.loss_multilabel_bce(logits[i], bits[i]).item() for i in range(5)]
         assert got == pytest.approx(np.mean(rows), rel=1e-14)
 
     def test_batched_margin_equals_rowwise(self):
@@ -198,6 +202,70 @@ def _margin_rows_reference(scores, bits):
         pos, neg = np.flatnonzero(bits[i] == 1), np.flatnonzero(bits[i] == 0)
         total = total + M.loss_multilabel_margin(scores[i], pos, neg)
     return total * (1.0 / bits.shape[0])
+
+
+class TestUnderflowingTargets:
+    """Targets whose probability underflows, reached through the training
+    losses: head biases 200 apart put that probability near e^-200, and the
+    loss must still equal its closed form on the logits, with a gradient."""
+
+    def _model(self, head):
+        model = M.FremureModel(_small_cfg(flags=M.AblationFlags(head=head)), nc.Rng(0))
+        return model, _clip(nc.Rng(1))
+
+    def test_linear_single_label(self):
+        model, clip = self._model("linear")
+        head = model.heads["attn"]
+        head.lin.w.data[:] = 0.0
+        head.lin.b.data[:] = [0.0, -200.0]
+        y = np.array([r.attn for r in clip]) == 1
+        losses, _ = model._type_losses(clip, nc.Rng(2), training=True)
+        # -log softmax([0, -200]) = log1p(e^-200) + [0, 200]
+        want = math.log1p(math.exp(-200.0)) + 200.0 * y.mean()
+        assert losses["attn"].item() == pytest.approx(want, rel=1e-15)
+        losses["attn"].backward()
+        # row mean of softmax - onehot: [f, -f] for a share f of class-1 rows
+        np.testing.assert_allclose(head.lin.b.grad, [y.mean(), -y.mean()], rtol=1e-12)
+        assert y.any()
+
+    def test_linear_multi_label(self):
+        model, clip = self._model("linear")
+        head = model.heads["spat"]
+        head.lin.w.data[:] = 0.0
+        head.lin.b.data[:] = -200.0
+        y = np.array([r.spat for r in clip], dtype=np.float64)
+        losses, _ = model._type_losses(clip, nc.Rng(2), training=True)
+        # softplus(-200) + 200 y per entry
+        want = math.log1p(math.exp(-200.0)) + 200.0 * y.mean()
+        assert losses["spat"].item() == pytest.approx(want, rel=1e-15)
+        losses["spat"].backward()
+        n, c = y.shape
+        want_grad = (n / (1.0 + math.exp(200.0)) - y.sum(axis=0)) / (n * c)
+        np.testing.assert_allclose(head.lin.b.grad, want_grad, rtol=1e-12)
+        assert np.all(head.lin.b.grad[y.any(axis=0)] < 0.0)
+
+    def test_bayesian_multi_label(self):
+        model, clip = self._model("bayesian")
+        head = model.heads["spat"]
+        head.mu.w.data[:] = 0.0
+        head.mu.b.data[:] = -200.0
+        head.logvar.w.data[:] = 0.0
+        head.logvar.b.data[:] = 0.0             # unit variance
+        y = np.array([r.spat for r in clip], dtype=np.float64)
+        n, c = y.shape
+        losses, _ = model._type_losses(clip, nc.Rng(2), training=True)
+        # the spatial head's draws: -200 + eps, eps from its stream
+        eps = nc.Rng(2).spawn(1).normals((model.cfg.s_train, n, c))
+        # every draw's probability is e^(-200 + eps), so the mean
+        # probability's log-odds are -200 + log mean exp(eps), to far below
+        # double precision, and a 1-bit costs minus that
+        logit = -200.0 + np.log(np.exp(eps).mean(axis=0))
+        want = float((-logit * y).mean())
+        assert losses["spat"].item() == pytest.approx(want, rel=1e-12)
+        losses["spat"].backward()
+        # each draw moves with mu one for one
+        np.testing.assert_allclose(head.mu.b.grad, -y.sum(axis=0) / (n * c), rtol=1e-12)
+        assert np.any(head.mu.b.grad != 0.0)
 
 
 class TestConfig:
@@ -278,6 +346,7 @@ class TestStructure:
         assert out["probs"]["spat"].shape == (n, 4)
         assert out["probs"]["cont"].shape == (n, 4)
         for t in M.TYPES:
+            assert out["logits"][t].shape == out["probs"][t].shape
             assert out["reports"][t].epistemic_rows.shape == (n,)
 
     def test_forward_validates_clip(self):
@@ -562,15 +631,6 @@ class TestEvalAndCheckpoint:
         with pytest.raises(ContractError):
             M.model_from_checkpoint(dropped)
 
-    def test_checkpoint_carries_optimizer_state(self):
-        model, _ = self._trained()
-        opt = nc.Adam(model.parameters())
-        for p in model.parameters().values():
-            p.grad = np.ones_like(p.data)
-        opt.step()
-        doc = M.checkpoint_dict(model, epoch=1, seed=7, optimizer=opt)
-        assert doc["optimizer"]["t"] == 1
-
 
 class TestFlatAdam:
     def test_flat_adam_is_bitwise_the_per_tensor_update(self):
@@ -602,7 +662,6 @@ class TestFlatAdam:
                 ref[key] -= lr * (m[key] / bc1) / (np.sqrt(v[key] / bc2) + eps)
             for key, p in params.items():
                 assert np.array_equal(p.data, ref[key]), key
-        state = opt.state_dict()
-        for key in params:
-            assert np.array_equal(state["m"][key], m[key]), key
-            assert np.array_equal(state["v"][key], v[key]), key
+        # the moments live in the arena, in parameter order
+        assert np.array_equal(opt.m, np.concatenate([x.ravel() for x in m.values()]))
+        assert np.array_equal(opt.v, np.concatenate([x.ravel() for x in v.values()]))

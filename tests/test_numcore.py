@@ -491,23 +491,6 @@ def test_adam_parameters_become_views_of_one_arena():
     assert opt.flat[3] == 5.0
 
 
-def test_adam_state_roundtrip():
-    p = nc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = nc.Adam({"p": p}, lr=0.01)
-    p.grad = np.array([0.5, -0.5])
-    opt.step()
-    state = opt.state_dict()
-
-    q = nc.Tensor(np.array(p.data), requires_grad=True)
-    opt2 = nc.Adam({"p": q}, lr=0.01)
-    opt2.load_state_dict(state)
-    p.grad = np.array([0.1, 0.2])
-    q.grad = np.array([0.1, 0.2])
-    opt.step()
-    opt2.step()
-    assert np.array_equal(p.data, q.data)
-
-
 # ---------------------------------------------------------------------------
 # Rng
 # ---------------------------------------------------------------------------

@@ -1,0 +1,87 @@
+"""The benchmark's hold on the program. ``bench/tracing.py`` wraps functions
+by name, so a renamed one would make ``bench/run.py --trace 1`` fail or read
+0; ``bench/checks.py`` reads the probabilities that ``FremureModel.forward``
+returns and requires them in [0, 1], with attention rows summing to 1."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fremure
+import fremure.cli  # noqa: F401  (loads every layer, as the benchmark does)
+from fremure import model as M
+from fremure import numcore as nc
+from fremure.data_metrics import TripletRecord
+
+PROB = 1e-9          # bench/checks.py's tolerance on probability sums
+
+
+def _tracing():
+    """bench/tracing.py, loaded from its file without touching it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _model(head):
+    cfg = M.ModelConfig(raw_dim=6, d=8, h=2, attn_classes=3, spat_classes=4,
+                        cont_classes=5, window_w=2, window_s=1,
+                        flags=M.AblationFlags(head=head))
+    return M.FremureModel(cfg, nc.Rng(1))
+
+
+def _clip(seed):
+    rng = nc.Rng(seed)
+    return [TripletRecord(0, f, p, 3 + p, rng.normals(6) * 3.0, (f + p) % 3,
+                          [(f + c) % 2 for c in range(4)],
+                          [(p + c) % 2 for c in range(5)])
+            for f in range(3) for p in range(3)]
+
+
+def test_every_traced_name_exists():
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in _tracing()._targets(fremure)
+               if not callable(getattr(owner, attr, None))]
+    assert not missing
+
+
+def test_traced_head_calls_are_seen():
+    tracer = _tracing().Tracer(training=False).install(fremure)
+    try:
+        with nc.no_grad():
+            _model("gmm_plus").forward(_clip(2), nc.Rng(3))
+            _model("bayesian").forward(_clip(2), nc.Rng(3))
+    finally:
+        tracer.remove()
+    assert tracer.count("heads.gmm_plus.predict") == 3
+    assert tracer.count("heads.bayesian.predict") == 3
+    assert tracer.count("heads.entropy_rows") == 6
+    assert tracer.count("heads.variances") > 0
+    assert tracer.count("model.forward") == 2
+
+
+@pytest.mark.parametrize("head", M.HEAD_KINDS)
+@pytest.mark.parametrize("scale", [1.0, 300.0])
+def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
+    # scale > 1 blows up the head weights that place the logits, so some
+    # probabilities underflow; the sampling head's log-variance stays
+    model = _model(head)
+    for key, p in model.parameters().items():
+        if key.startswith("heads.") and ".logvar." not in key:
+            p.data = p.data * scale
+    with nc.no_grad():
+        out = model.forward(_clip(4), nc.Rng(5))
+    for t in M.TYPES:
+        probs = out["probs"][t].data
+        assert np.all((probs >= 0.0) & (probs <= 1.0)), t
+    if scale > 1.0:
+        assert min(out["probs"][t].data.min() for t in M.TYPES) < 1e-12
+    sums = out["probs"]["attn"].data.sum(axis=-1)
+    assert np.abs(sums - 1.0).max() <= PROB
+    entropy = out["reports"]["attn"].epistemic_rows
+    assert np.all(np.isfinite(entropy))
+    assert np.all((entropy >= -PROB) & (entropy <= np.log(3) + PROB))
