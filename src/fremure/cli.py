@@ -180,8 +180,15 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
 _WRITE_CHUNK = 1 << 20      # characters of JSON text encoded at a time
 
 
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _canonical(doc, path: str) -> str:
+    """``doc`` as canonical JSON text, bound for the file ``path``. NaN and
+    infinities are not JSON, so a non-finite value is a NumericalError that
+    names the file instead of a token no JSON reader accepts."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: not written, non-finite value ({exc})")
 
 
 def _sha256(data: bytes) -> str:
@@ -191,7 +198,7 @@ def _sha256(data: bytes) -> str:
 def _write_json(path: str, doc):
     # a checkpoint's text is megabytes: encode and write it a chunk at a
     # time instead of holding whole copies of it
-    text = _canonical(doc)
+    text = _canonical(doc, path)
     with open(path, "wb") as fh:
         for i in range(0, len(text), _WRITE_CHUNK):
             fh.write(text[i:i + _WRITE_CHUNK].encode())
@@ -208,13 +215,13 @@ def _write_manifest(outdir: str, command: str, exp: ExperimentConfig,
     # the output directory is a location, not part of the experiment identity
     config = exp.to_json()
     config.pop("out")
+    path = os.path.join(outdir, f"{command.replace('-', '_')}_manifest.json")
     doc = {"command": command,
            "seed": exp.seed,
            "config": config,
-           "config_sha256": _sha256(_canonical(config).encode()),
+           "config_sha256": _sha256(_canonical(config, path).encode()),
            "options": options,
            "files": files}
-    path = os.path.join(outdir, f"{command.replace('-', '_')}_manifest.json")
     _write_json(path, doc)
     return path
 
@@ -354,6 +361,10 @@ def cmd_eval(args) -> int:
     _ensure_outdir(args.out)
 
     scores = evaluate(model, records, args.k, args.constraint, seed=args.seed)
+    # encoded before any file is written, so a non-finite value leaves none
+    samples_path = os.path.join(args.out, "eval_samples.jsonl")
+    samples = [_canonical(row, samples_path) + "\n" for row in
+               _uncertainty_rows(group_clips(records), scores["uncertainty"])]
     strata = {k: frequency_stratified_report(scores["per_class"][k],
                                              model.global_prior)
               for k in args.k}
@@ -378,11 +389,8 @@ def cmd_eval(args) -> int:
     csv_path = os.path.join(args.out, "eval_report.csv")
     _write_csv(csv_path, header, csv_rows)
 
-    samples = _uncertainty_rows(group_clips(records), scores["uncertainty"])
-    samples_path = os.path.join(args.out, "eval_samples.jsonl")
     with open(samples_path, "w") as fh:
-        for row in samples:
-            fh.write(_canonical(row) + "\n")
+        fh.writelines(samples)
 
     exp = ExperimentConfig(model=model.cfg, seed=args.seed, out=args.out)
     files = {os.path.basename(p): _file_sha(p)
@@ -521,9 +529,9 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
         opt.step()
 
     out_path = os.path.join(exp.out, "diagnose.jsonl")
+    lines = [_canonical(doc, out_path) + "\n" for doc in rows]
     with open(out_path, "w") as fh:
-        for doc in rows:
-            fh.write(_canonical(doc) + "\n")
+        fh.writelines(lines)
     _write_manifest(exp.out, "diagnose", exp,
                     {"steps": args.steps, "shared": bool(args.shared),
                      "checkpoint": args.checkpoint, "data": data_path},

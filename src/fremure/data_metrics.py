@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -401,7 +401,9 @@ def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior,
                                 head_mass: float = 0.3, tail_share: float = 0.3) -> dict:
     """Mean recall over the head bucket (smallest class set holding the top
     `head_mass` of frequency mass) and the tail bucket (the `tail_share`
-    least frequent classes, rounded up)."""
+    least frequent classes, rounded up). A bucket with no class in
+    `per_class_recalls` (none of its classes occurs in the ground truth) has
+    no mean and reads None."""
     f = prior.f
     by_mass = sorted(range(f.size), key=lambda c: (-f[c], c))
     head, acc = [], 0.0
@@ -415,7 +417,7 @@ def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior,
 
     def bucket_mean(classes):
         vals = [per_class_recalls[c] for c in classes if c in per_class_recalls]
-        return float(np.mean(vals)) if vals else float("nan")
+        return float(np.mean(vals)) if vals else None
 
     return {"head": bucket_mean(head), "tail": bucket_mean(tail),
             "head_classes": head, "tail_classes": tail}

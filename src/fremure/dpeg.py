@@ -9,7 +9,7 @@ to one embedding per (frame, pair).
 
 Generators of one architecture (a model's per-task trunks) run together as
 one pass, their weights stacked along a leading task axis (``encode_stacked``);
-a single ``Dpeg`` call is the one-task case of that pass.
+a shared trunk is the one-task case of that pass.
 
 Order conventions fixed here: fusion concatenates [head, tail, frequencies];
 window starts are 0, s, 2s, ... plus a final window ending at the last frame
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError
-from .freqgate import FrequencyGate, FrequencyPrior, frequency_correct, gate_values, uniform_prior
+from .freqgate import FrequencyGate, frequency_correct, gate_values, uniform_prior
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,8 @@ from .freqgate import FrequencyGate, FrequencyPrior, frequency_correct, gate_val
 # ---------------------------------------------------------------------------
 
 class BranchEncoder(nc.Module):
-    """One post-norm transformer encoder layer over a token set.
+    """Parameters of one post-norm transformer encoder layer over a token set,
+    which ``encoder_layer`` (or a ``stacked_encoder``) runs.
 
     x = LN(x + attention(x)); x = LN(x + ffn(x)). No positional information
     is injected here, so the layer is permutation equivariant; temporal order
@@ -42,7 +43,6 @@ class BranchEncoder(nc.Module):
     def __init__(self, d: int, h: int, rng: nc.Rng, ffn_mult: int = 2):
         if d % h != 0:
             raise ContractError(f"model dim {d} not divisible by head count {h}")
-        self.d = d
         self.h = h
         # no bias on q/k: a uniform key shift cancels inside the row softmax,
         # so a key bias would be an exactly flat (untrainable) direction
@@ -58,36 +58,12 @@ class BranchEncoder(nc.Module):
         return (self.q.w, self.k.w, self.v.w, self.v.b, self.o.w, self.o.b,
                 self.ffn1.w, self.ffn1.b, self.ffn2.w, self.ffn2.b)
 
-    def __call__(self, x: nc.Tensor) -> nc.Tensor:
-        """x: (..., tokens, d). Leading axes are independent token sets
-        attended over in parallel; attention never crosses them."""
-        if x.data.ndim < 2:
-            raise ContractError("encoder expects (..., tokens, d)")
-        n = x.shape[-2]
-        if n == 0:
-            raise ContractError("encoder requires a non-empty token set")
-        if x.shape[-1] != self.d:
-            raise ContractError(f"token dim {x.shape[-1]} != encoder dim {self.d}")
-        return encoder_layer(x, self.weights(), self.h)
-
-    def zero_mixing(self):
-        """Zero the attention output projection and last FFN layer, reducing
-        the layer to its residual-plus-normalization path. Test hook."""
-        self.o.w.data[:] = 0.0
-        self.o.b.data[:] = 0.0
-        self.ffn2.w.data[:] = 0.0
-        self.ffn2.b.data[:] = 0.0
-
-    def copy_weights_from(self, other: "BranchEncoder"):
-        mine, theirs = self.parameters(), other.parameters()
-        for key, p in mine.items():
-            p.data = np.array(theirs[key].data)
-
 
 def encoder_layer(x: nc.Tensor, weights: tuple, h: int) -> nc.Tensor:
     """The encoder layer over ``BranchEncoder.weights()``-ordered parameters:
     2-D matrices for one encoder over x of shape (..., n, d), or the
     task-stacked weights of ``stacked_encoder`` over x of shape (T, ..., n, d).
+    Leading axes are independent token sets; attention never crosses them.
     """
     qw, kw, vw, vb, ow, ob, f1w, f1b, f2w, f2b = weights
     q = nc.split_heads(nc.affine(x, qw), h)
@@ -116,24 +92,12 @@ def stack_tasks(per_task, shapes=None) -> list:
 
 def stacked_encoder(encoders):
     """T same-sized encoders as one callable over (T, ..., n, d) inputs, slice
-    t going through encoder t. The weights are stacked along a leading task
-    axis when this is called, so build it once per forward pass."""
+    t going through encoder t; one encoder takes any (..., n, d). The weights
+    are stacked along a leading task axis when this is called, so build it
+    once per forward pass."""
     weights = stack_tasks([e.weights() for e in encoders])
     h = encoders[0].h
     return lambda x: encoder_layer(x, weights, h)
-
-
-def encode_local_head(feats: nc.Tensor, encoder: BranchEncoder) -> nc.Tensor:
-    """Plain branch: one encoder pass over a within-frame pair set."""
-    return encoder(feats)
-
-
-def encode_local_tail(feats: nc.Tensor, prior: FrequencyPrior,
-                      freq_gate: FrequencyGate, encoder: BranchEncoder) -> nc.Tensor:
-    """Frequency-corrected branch: gate-blended normalization, then its own
-    encoder (no parameter sharing with the head branch)."""
-    corrected = frequency_correct(feats, gate_values(prior, freq_gate))
-    return encoder(corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +115,16 @@ class FusionGate(nc.Module):
         self.w = nc.Tensor(rng.uniform_range(-init_scale, init_scale, (2 * d + n_classes, d)),
                            requires_grad=True)
         self.b = nc.Tensor(np.zeros(d), requires_grad=True)
-        self.d = d
-        self.n_classes = n_classes
 
 
-def fuse_local(h: nc.Tensor, t: nc.Tensor, f: np.ndarray, gate: FusionGate) -> nc.Tensor:
-    """Z = G * H + (1 - G) * T with G = sigmoid([H || T || f] W + b)."""
-    if h.shape != t.shape:
-        raise ContractError(f"branch shapes differ: {h.shape} vs {t.shape}")
-    f = np.asarray(f, dtype=np.float64)
-    if h.shape[-1] != gate.d or f.size != gate.n_classes:
-        raise ContractError("fusion gate dimensions do not match inputs")
-    f_rows = nc.Tensor(np.broadcast_to(f, h.shape[:-1] + (f.size,)))
-    return _gated_mix(h, t, f_rows, gate.w, gate.b)
+def gated_mix(h: nc.Tensor, t: nc.Tensor, f: np.ndarray, w, b) -> nc.Tensor:
+    """Z = G * H + (1 - G) * T with G = sigmoid([H || T || f] W + b).
 
-
-def _gated_mix(h: nc.Tensor, t: nc.Tensor, f_rows: nc.Tensor, w, b) -> nc.Tensor:
+    H and T are the head and tail branch outputs, (..., d); the frequency
+    vector f broadcasts to every row. W and b are a ``FusionGate``'s, or
+    task-stacked ones with H, T and f carrying the leading task axis.
+    """
+    f_rows = nc.Tensor(np.broadcast_to(f, h.shape[:-1] + f.shape[-1:]))
     g = nc.sigmoid(nc.affine(nc.concat([h, t, f_rows], axis=-1), w, b))
     return g * h + (1.0 - g) * t
 
@@ -187,10 +145,6 @@ def pe_at(positions, d: int) -> np.ndarray:
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out
-
-
-def positional_encoding(length: int, d: int) -> np.ndarray:
-    return pe_at(np.arange(length), d)
 
 
 @dataclass
@@ -231,8 +185,9 @@ def encode_global(z: nc.Tensor, frames, encoder, cfg: WindowConfig) -> WindowedS
     """Add absolute-position encoding, then encode each sliding window.
 
     z: (..., L, d); leading axes are independent sequences over the same
-    frames. ``encoder`` is a BranchEncoder or a ``stacked_encoder``. Absolute frame indices feed the encoding, so shifting a whole
-    clip in time changes the output; that is deliberate, not an invariance.
+    frames. ``encoder`` is a ``stacked_encoder``. Absolute frame indices feed
+    the encoding, so shifting a whole clip in time changes the output; that
+    is deliberate, not an invariance.
     """
     length = z.shape[-2]
     if length == 0:
@@ -342,7 +297,8 @@ def clip_layout(frames, pair_ids) -> ClipLayout:
 # ---------------------------------------------------------------------------
 
 class Dpeg(nc.Module):
-    """Local dual-branch encoding, gated fusion, windowed global refinement.
+    """Local dual-branch encoding, gated fusion, windowed global refinement:
+    the parameters of one generator, which ``encode_stacked`` runs.
 
     ``dual_branch=False`` removes the tail branch and fusion gate entirely
     (the fused output is the head branch). ``frequency=False`` keeps the tail
@@ -365,26 +321,6 @@ class Dpeg(nc.Module):
             if frequency:
                 self.freq_gate = FrequencyGate(n_classes, d, rng.spawn(3))
         self.global_enc = BranchEncoder(d, h, rng.spawn(4), ffn_mult)
-
-    def forward(self, feats: nc.Tensor, frames: np.ndarray, pair_ids: np.ndarray,
-                prior: FrequencyPrior) -> nc.Tensor:
-        """feats: (N, d) projected pair features; frames/pair_ids: (N,) metadata.
-
-        Returns refined embeddings aligned row-for-row with the input. This
-        is ``encode_stacked`` with a single trunk.
-        """
-        n = feats.shape[0]
-        if n == 0:
-            raise ContractError("empty clip")
-        frames = np.asarray(frames, dtype=np.int64)
-        pair_ids = np.asarray(pair_ids, dtype=np.int64)
-        if frames.size != n or pair_ids.size != n:
-            raise ContractError("metadata length must match feature rows")
-        z = encode_stacked([self], nc.reshape(feats, (1,) + feats.shape),
-                           clip_layout(frames, pair_ids), [prior])
-        return nc.reshape(z, feats.shape)
-
-    __call__ = forward
 
 
 def _padded(rows, width: int) -> np.ndarray:
@@ -426,10 +362,10 @@ def encode_stacked(dpegs, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Te
         width = max(dp.n_classes for dp in dpegs)
         freqs = _padded([p.f for p in priors], width)         # (T, 1, width)
         if first.frequency:
-            signal = nc.Tensor(_padded([p.log_inverse() for p in priors], width))
+            signal = _padded([p.log_inverse() for p in priors], width)
             gate_w, gate_b = stack_tasks([(dp.freq_gate.w, dp.freq_gate.b) for dp in dpegs],
                                          ((width, d), None))
-            g = nc.sigmoid(nc.affine(signal, gate_w, gate_b))  # (T, 1, d)
+            g = gate_values(signal, gate_w, gate_b)           # (T, 1, d)
         else:
             g = nc.Tensor(np.full((tasks, 1, d), 0.5))
         fusion_w, fusion_b = stack_tasks([(dp.fusion.w, dp.fusion.b) for dp in dpegs],
@@ -443,8 +379,7 @@ def encode_stacked(dpegs, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Te
     for block in layout.local:
         z = local(inputs[:, block])                           # (T or 2T, frames, pairs, d)
         if first.dual_branch:
-            f_rows = np.broadcast_to(freqs[:, None], (tasks,) + z.shape[1:-1] + (width,))
-            z = _gated_mix(z[:tasks], z[tasks:], nc.Tensor(f_rows), fusion_w, fusion_b)
+            z = gated_mix(z[:tasks], z[tasks:], freqs[:, None], fusion_w, fusion_b)
         chunks.append(z)
     z = _to_rows(chunks, layout.local_inverse, tasks, d)
 

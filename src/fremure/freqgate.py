@@ -40,17 +40,6 @@ class FrequencyPrior:
         """log(1/(f_k + eps)): the gate's pre-activation input, finite for f_k = 0."""
         return np.log(1.0 / (self.f + self.eps))
 
-    def to_json(self) -> dict:
-        return {"counts": self.counts.tolist(), "f": self.f.tolist(), "eps": self.eps}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FrequencyPrior":
-        prior = cls(doc["counts"], eps=doc["eps"])
-        stored = np.asarray(doc["f"], dtype=np.float64)
-        if not np.allclose(prior.f, stored, atol=1e-12):
-            raise ContractError("stored frequencies disagree with stored counts")
-        return prior
-
 
 def compute_frequencies(counts, eps: float = DEFAULT_EPS) -> FrequencyPrior:
     return FrequencyPrior(counts, eps=eps)
@@ -73,22 +62,15 @@ class FrequencyGate(nc.Module):
                            requires_grad=True)
         self.b = nc.Tensor(np.zeros(d), requires_grad=True)
 
-    @property
-    def n_classes(self) -> int:
-        return self.w.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.w.shape[1]
+def gate_values(signal: np.ndarray, w, b) -> nc.Tensor:
+    """sigmoid(W . log(1/(f + eps)) + b); every element strictly inside (0, 1).
 
-
-def gate_values(prior: FrequencyPrior, gate: FrequencyGate) -> nc.Tensor:
-    """sigmoid(W . log(1/(f + eps)) + b); every element strictly inside (0, 1)."""
-    if prior.n_classes != gate.n_classes:
-        raise ContractError(
-            f"prior has {prior.n_classes} classes but gate expects {gate.n_classes}")
-    signal = nc.Tensor(prior.log_inverse())
-    return nc.sigmoid(nc.affine(signal, gate.w, gate.b))
+    ``signal`` is ``FrequencyPrior.log_inverse()``, (C,), with a
+    ``FrequencyGate``'s w and b; or T such signals, (T, 1, C), with the T
+    gates' weights stacked along a leading task axis.
+    """
+    return nc.sigmoid(nc.affine(nc.Tensor(signal), w, b))
 
 
 def frequency_correct(x, g) -> nc.Tensor:

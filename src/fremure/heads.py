@@ -77,10 +77,9 @@ class Head(nc.Module):
     every row."""
 
     def predict(self, z: nc.Tensor, rng: nc.Rng | None = None,
-                training: bool = False, **options):
-        """(logits, probabilities, uncertainty report). ``options`` go to the
-        head's ``logits_and_variance``."""
-        logits, variance = self.logits_and_variance(z, rng, training, **options)
+                training: bool = False):
+        """(logits, probabilities, uncertainty report)."""
+        logits, variance = self.logits_and_variance(z, rng, training)
         ent = entropy_rows(logits.data, self.mode)
         ale = np.full(ent.shape, variance, dtype=np.float64)
         report = UncertaintyReport(float(ale.mean()), float(ent.mean()), ale, ent)
@@ -135,10 +134,8 @@ class BayesianHead(Head):
         self.n_classes = n_classes
 
     def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
-                            training: bool = False, n_samples: int | None = None):
-        s = n_samples if n_samples is not None else (self.s_train if training else self.s_eval)
-        if s < 1:
-            raise ContractError("sample count must be >= 1")
+                            training: bool = False):
+        s = self.s_train if training else self.s_eval
         mu = self.mu(z)
         logvar = self.logvar(z)
         var = np.exp(logvar.data)
@@ -160,25 +157,6 @@ class BayesianHead(Head):
 # ---------------------------------------------------------------------------
 # Gaussian mixture head
 # ---------------------------------------------------------------------------
-
-def gmm_density(score: float, means, variances, weights) -> float:
-    """Mixture density sum_k w_k N(score | mu_k, var_k), evaluated in log
-    space so widely separated components cannot underflow each other."""
-    means = np.asarray(means, dtype=np.float64)
-    variances = np.asarray(variances, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if means.size < 1 or means.shape != variances.shape or means.shape != weights.shape:
-        raise ContractError("component parameter shapes must match, K >= 1")
-    if np.any(variances <= 0):
-        raise ContractError("component variances must be positive")
-    log_pdf = -0.5 * (LOG_2PI + np.log(variances)) - (score - means) ** 2 / (2.0 * variances)
-    return float(np.exp(_np_lse(np.log(weights) + log_pdf)))
-
-
-def _np_lse(x: np.ndarray) -> float:
-    shift = x.max()
-    return float(shift + np.log(np.exp(x - shift).sum()))
-
 
 class GmmPlusHead(Head):
     """Per-class K-component mixtures over learned scalar class scores.
@@ -216,9 +194,6 @@ class GmmPlusHead(Head):
 
     def variances(self) -> nc.Tensor:
         return self.sigma_min + nc.softplus(self.rho)
-
-    def min_variance(self) -> float:
-        return float(self.variances().data.min())
 
     def mixture_weights(self) -> np.ndarray:
         return nc.softmax(self.mix, axis=-1).data

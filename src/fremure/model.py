@@ -183,28 +183,11 @@ def loss_multilabel_bce(logits: Tensor, targets) -> Tensor:
     return (nc.softplus(logits) - Tensor(y) * logits).mean()
 
 
-def loss_multilabel_margin(scores: Tensor, positives, negatives) -> Tensor:
-    """Pairwise hinge mean(max(0, 1 - s_p + s_n)) over positives x negatives.
-    Either set empty means no ranking evidence, so the loss is zero."""
-    n = scores.shape[-1]
-    pos = np.asarray(positives, dtype=np.int64).ravel()
-    neg = np.asarray(negatives, dtype=np.int64).ravel()
-    for idx in (pos, neg):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ContractError(f"class index outside [0, {n})")
-    if np.intersect1d(pos, neg).size:
-        raise ContractError("positive and negative sets must be disjoint")
-    if pos.size == 0 or neg.size == 0:
-        return Tensor(0.0)
-    sp = nc.reshape(scores[pos], (pos.size, 1))
-    sn = nc.reshape(scores[neg], (1, neg.size))
-    return nc.maximum(1.0 - sp + sn, 0.0).mean()
-
-
 def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
-    """Row mean of ``loss_multilabel_margin`` with each row's 1-bits against
-    its 0-bits, as one hinge over every (row, class, class) triple weighted by
-    a constant mask. A row without positives or negatives weighs 0."""
+    """Row mean of the pairwise hinge mean(max(0, 1 - s_p + s_n)) over each
+    row's 1-bits p against its 0-bits n, as one hinge over every (row, class,
+    class) triple weighted by a constant mask. A row without positives or
+    negatives has no ranking evidence and weighs 0."""
     n, c = bits.shape
     pos, neg = bits == 1, bits == 0
     count = pos.sum(axis=1) * neg.sum(axis=1) * n
@@ -301,8 +284,6 @@ class FremureModel(nc.Module):
             out["logits"][t], out["probs"][t], out["reports"][t] = \
                 self.heads[t].predict(embeds[t], child, training)
         return out
-
-    __call__ = forward
 
     def _embed(self, feats: np.ndarray, layout) -> dict:
         """Every trunk in one pass: projection and generator weights are

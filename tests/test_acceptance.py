@@ -107,7 +107,7 @@ def test_criterion_2_closed_form_values():
     gate.b.data[:] = 0.0
     h = nc.Tensor(rng.normals((6, 5)) * 100.0)
     t = nc.Tensor(rng.normals((6, 5)))
-    fused = dpeg.fuse_local(h, t, np.full(4, 0.25), gate).data
+    fused = dpeg.gated_mix(h, t, np.full(4, 0.25), gate.w, gate.b).data
     ok_mid = np.array_equal(fused, (h.data + t.data) / 2.0)
 
     ok = ok_sig and ok_pdf and ok_mid
@@ -373,8 +373,8 @@ def test_criterion_7_variance_floor_holds_on_all_checkpoints(tmp_path):
         model = fm.model_from_checkpoint(
             json.loads((out / "checkpoint.json").read_text()))
         for task, head in model.heads.items():
-            if hasattr(head, "min_variance"):
-                floors.append((idx, task, head.min_variance(),
+            if hasattr(head, "variances"):
+                floors.append((idx, task, float(head.variances().data.min()),
                                model.cfg.sigma_min))
     ok = bool(floors) and all(mv >= floor for _, _, mv, floor in floors)
     worst = min(floors, key=lambda r: r[2] - r[3])
@@ -397,8 +397,8 @@ def test_criterion_8_sampling_head_variance_decays_inversely_with_draws():
     draws = (10, 100, 1000)
     stds = []
     for s in draws:
-        reps = np.stack([head.predict(z, nc.Rng(500 + r), training=False,
-                                      n_samples=s)[1].data
+        head.s_eval = s
+        reps = np.stack([head.predict(z, nc.Rng(500 + r), training=False)[1].data
                          for r in range(50)])
         stds.append(float(reps.std(axis=0, ddof=1).mean()))
     logs = np.log(np.asarray(draws, dtype=np.float64))

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line layer: config parsing, the five
 subcommands, exit codes, and byte-level determinism of the written artifacts."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 from fremure import numcore as nc
 from fremure import model as fm
-from fremure import ConfigError
-from fremure.cli import main, parse_config, VARIANTS
+from fremure import ConfigError, NumericalError
+from fremure.cli import _write_json, main, parse_config, VARIANTS
 from fremure.data_metrics import group_clips, read_jsonl
 from fremure.model import FremureModel, model_from_checkpoint
 
@@ -44,6 +45,10 @@ def _json(path):
 
 def _jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _gen(tmp_path, out="run", **over):
@@ -376,6 +381,61 @@ def test_eval_checkpoint_string_value_names_its_key(trained, tmp_path, capsys,
     assert f"checkpoint '{named}' must" in capsys.readouterr().err
 
 
+def test_eval_head_or_tail_bucket_without_classes_is_null(tmp_path):
+    # one test record: no class of the head bucket occurs in its labels, so
+    # that bucket has no mean recall to report
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("data.clips = 2\ndata.test_clips = 1\ndata.frames = 1\n"
+                   "data.pairs = 1\nmodel.d = 8\nmodel.h = 2\n"
+                   "train.epochs = 1\nseed = 0\n")
+    outdir = tmp_path / "tiny"
+    for argv in (["gen-data", "--config", str(cfg), "--out", str(outdir)],
+                 ["train", "--config", str(cfg), "--out", str(outdir)],
+                 ["eval", "--checkpoint", str(outdir / "checkpoint.json"),
+                  "--data", str(outdir / "test.jsonl"), "--out", str(outdir)]):
+        assert main(argv) == 0
+    report = json.loads((outdir / "eval_report.json").read_text(),
+                        parse_constant=_reject_constant)
+    empty = [(k, side) for k, buckets in report["head_tail"].items()
+             for side in ("head", "tail") if buckets[side] is None]
+    assert empty
+    rows = {line.split(",")[0]: line.split(",")[1:]
+            for line in (outdir / "eval_report.csv").read_text().splitlines()}
+    ks = [str(k) for k in report["k"]]
+    for k, side in empty:
+        assert rows[f"{side}_recall"][ks.index(k)] == ""
+    assert "nan" not in (outdir / "eval_report.csv").read_text().lower()
+
+
+def test_eval_non_finite_uncertainty_aborts_with_code_3(tmp_path, capsys):
+    # a predicted log-variance of 800 overflows the spatial head's aleatoric
+    # variance exp(logvar) to infinity, which JSON cannot carry
+    cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    bias = doc["parameters"]["heads.spat.logvar.b"]
+    doc["parameters"]["heads.spat.logvar.b"] = [800.0] * len(bias)
+    ckpt = tmp_path / "diverged.json"
+    ckpt.write_text(json.dumps(doc))
+    evaldir = tmp_path / "ev8"
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--data", os.path.join(outdir, "test.jsonl"), "--out", str(evaldir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "eval_samples.jsonl" in err
+    assert sorted(os.listdir(evaldir)) == []        # nothing half written
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_output_with_non_finite_value_names_the_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericalError, match="out.json"):
+        _write_json(str(path), {"a": [1.0, value]})
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -482,3 +542,47 @@ def test_seed_flag_overrides_config(tmp_path):
     m2 = _json(os.path.join(out2, "gen_data_manifest.json"))
     assert m1["seed"] == 11 and m2["seed"] == 99
     assert m1["files"]["train.jsonl"] != m2["files"]["train.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of a tiny gen-data + train + eval run per configuration. A change
+# to seeded streams, the checkpoint layout or any score changes these, and
+# has to say so. Taken with numpy 2.4 on x86-64: a BLAS that rounds matrix
+# products differently gives other hashes without any program change.
+PINNED_OUTPUTS = {
+    "gmm_plus": ({}, {
+        "metrics.csv": "ffc94aa7155ec0454364ce2ff068415a892643f41b58050462ba860bf6ff8683",
+        "checkpoint.json": "54d01d0aff93b19f95986b793bcaf0a0912a2e98bd9234bf009085425e0fee2a",
+        "eval_report.json": "654435f1d2304b6af746eaf0144a84fcefc16c469543a0888a229f06f6944756",
+        "eval_samples.jsonl": "f50c05642a27b1fa33cc09ffb8ddabaec2af6fc83688ffe091f25551b00ea19b",
+    }),
+    "bayesian-shared-margin": ({"flags.head": "bayesian", "flags.decouple": "false",
+                                "model.multilabel_loss": "margin", "train.epochs": 2}, {
+        "metrics.csv": "46e8195fe519deb48ae8f4ade902561a8293770ae9893739f145e39b0d5bb484",
+        "checkpoint.json": "3639d609668fdec43324b3630dbcea7ea55bcfed83cd7719cd7af4b6d4072ba4",
+        "eval_report.json": "f88784f87de0cb2182ee023eb29c4ce99e00f15eb133e4107142e3778eb5cbfb",
+        "eval_samples.jsonl": "736b53553e9a92cb8f0b0f4a50ebf9b444ce7d0818b3290d2e4ea72dc2023178",
+    }),
+    "linear-no-frequency": ({"flags.head": "linear", "flags.frequency": "false",
+                             "model.window_mode": "triangular"}, {
+        "metrics.csv": "aa97e504fce808bc07445283f3d1f8e5634331c1147a9120f7868e1ccdf32899",
+        "checkpoint.json": "86c4a1eaf0868457cbd51695b218a3e1fa3827b079256d06cac55328c8e3daed",
+        "eval_report.json": "0bda4fb64438d3add6230f80664a8d7e853260b15d4eb2a19b107f12888b76a3",
+        "eval_samples.jsonl": "78e3d61fca2a10dff23ac4d7ed8d2b8cacbeaee880a21ea54a8698758ba6df6f",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_train_and_eval_output_bytes_are_pinned(tmp_path, case):
+    over, pinned = PINNED_OUTPUTS[case]
+    cfg, outdir = _gen(tmp_path, **over)
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    assert main(["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                 "--data", os.path.join(outdir, "test.jsonl"), "--out", outdir]) == 0
+    got = {name: hashlib.sha256(Path(outdir, name).read_bytes()).hexdigest()
+           for name in pinned}
+    assert got == pinned

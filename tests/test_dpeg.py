@@ -26,7 +26,7 @@ def _np_layer_norm(u, eps=1e-5):
 def _encoder_oracle(x: np.ndarray, enc: dpeg.BranchEncoder) -> np.ndarray:
     # step-by-step single-layer attention trace, independent of the tape
     lin = lambda u, layer: u @ layer.w.data + (0.0 if layer.b is None else layer.b.data)
-    d, h = enc.d, enc.h
+    d, h = x.shape[-1], enc.h
     dh = d // h
     q, k, v = lin(x, enc.q), lin(x, enc.k), lin(x, enc.v)
     heads = []
@@ -42,6 +42,41 @@ def _encoder_oracle(x: np.ndarray, enc: dpeg.BranchEncoder) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# test-side helpers: one encoder, one branch, one generator alone
+# ---------------------------------------------------------------------------
+
+
+def _encode(enc: dpeg.BranchEncoder, x) -> nc.Tensor:
+    """One encoder layer over x, (..., n, d), as the generator runs it."""
+    return dpeg.stacked_encoder([enc])(x if isinstance(x, nc.Tensor) else nc.Tensor(x))
+
+
+def _zero_mixing(enc: dpeg.BranchEncoder):
+    """Zero the attention output projection and the last FFN layer, leaving
+    the layer's residual-plus-normalization path."""
+    for layer in (enc.o, enc.ffn2):
+        layer.w.data[:] = 0.0
+        layer.b.data[:] = 0.0
+
+
+def _tail_branch(x, prior: fg.FrequencyPrior, gate: fg.FrequencyGate,
+                 enc: dpeg.BranchEncoder) -> nc.Tensor:
+    """The tail branch as ``encode_stacked`` builds it: gate-blended
+    normalization, then the branch's own encoder."""
+    g = fg.gate_values(prior.log_inverse(), gate.w, gate.b)
+    return _encode(enc, fg.frequency_correct(x, g))
+
+
+def _run(dp: dpeg.Dpeg, feats, frames, pair_ids, prior) -> nc.Tensor:
+    """One generator over one clip: the one-task case of ``encode_stacked``,
+    rows aligned with ``feats``."""
+    x = feats if isinstance(feats, nc.Tensor) else nc.Tensor(feats)
+    z = dpeg.encode_stacked([dp], nc.reshape(x, (1,) + x.shape),
+                            dpeg.clip_layout(frames, pair_ids), [prior])
+    return nc.reshape(z, x.shape)
+
+
+# ---------------------------------------------------------------------------
 # local branches
 # ---------------------------------------------------------------------------
 
@@ -51,17 +86,11 @@ def test_encoder_rejects_indivisible_heads():
         dpeg.BranchEncoder(6, 4, nc.Rng(0))
 
 
-def test_encoder_rejects_empty_batch():
-    enc = dpeg.BranchEncoder(4, 2, nc.Rng(0))
-    with pytest.raises(ContractError):
-        enc(nc.Tensor(np.zeros((0, 4))))
-
-
 def test_encoder_residual_only_path_is_layer_norm_chain():
     enc = dpeg.BranchEncoder(6, 2, nc.Rng(1))
-    enc.zero_mixing()
+    _zero_mixing(enc)
     x = nc.Rng(2).normals((1, 6))
-    got = enc(nc.Tensor(x)).data
+    got = _encode(enc, x).data
     assert np.allclose(got, _np_layer_norm(_np_layer_norm(x)), atol=1e-12)
 
 
@@ -69,30 +98,42 @@ def test_encoder_permutation_equivariance():
     enc = dpeg.BranchEncoder(8, 2, nc.Rng(3))
     x = nc.Rng(4).normals((5, 8))
     perm = nc.Rng(5).permutation(5)
-    straight = enc(nc.Tensor(x)).data
-    shuffled = enc(nc.Tensor(x[perm])).data
+    straight = _encode(enc, x).data
+    shuffled = _encode(enc, x[perm]).data
     assert np.allclose(shuffled, straight[perm], atol=1e-12)
 
 
 def test_encoder_matches_scripted_attention_trace():
     enc = dpeg.BranchEncoder(8, 4, nc.Rng(6))
     x = nc.Rng(7).normals((3, 8))
-    assert np.allclose(enc(nc.Tensor(x)).data, _encoder_oracle(x, enc), atol=1e-12)
+    assert np.allclose(_encode(enc, x).data, _encoder_oracle(x, enc), atol=1e-12)
+
+
+def test_stacked_encoders_equal_each_encoder_alone():
+    encs = [dpeg.BranchEncoder(8, 2, nc.Rng(60).spawn(i)) for i in range(3)]
+    x = nc.Rng(61).normals((3, 2, 4, 8))          # (task, sets, tokens, d)
+    got = dpeg.stacked_encoder(encs)(nc.Tensor(x)).data
+    for t, enc in enumerate(encs):
+        want = np.stack([_encoder_oracle(x[t, i], enc) for i in range(2)])
+        assert np.allclose(got[t], want, atol=1e-12)
 
 
 def test_tail_branch_with_zero_gate_collapses_to_head():
-    rng = nc.Rng(8)
-    head = dpeg.BranchEncoder(6, 2, rng.spawn(0))
-    tail = dpeg.BranchEncoder(6, 2, rng.spawn(1))
-    tail.copy_weights_from(head)
-    gate = fg.FrequencyGate(3, 6, rng.spawn(2))
-    gate.w.data[:] = 0.0
-    gate.b.data[:] = -800.0  # saturates the correction gate to (numerically) zero
+    # with the tail encoder a copy of the head encoder and the correction
+    # gate saturated to (numerically) zero, both branches agree, so the fused
+    # generator equals the single-branch one built from the same stream
+    window = dpeg.WindowConfig(w=2, s=1)
+    full = dpeg.Dpeg(6, 2, 3, nc.Rng(8), window=window)
+    bare = dpeg.Dpeg(6, 2, 3, nc.Rng(8), window=window, dual_branch=False)
+    for key, p in full.tail_enc.parameters().items():
+        p.data = np.array(full.head_enc.parameters()[key].data)
+    full.freq_gate.w.data[:] = 0.0
+    full.freq_gate.b.data[:] = -800.0
     prior = fg.compute_frequencies([5, 3, 2])
-    x = nc.Tensor(rng.normals((4, 6)))
-    h_out = dpeg.encode_local_head(x, head)
-    t_out = dpeg.encode_local_tail(x, prior, gate, tail)
-    assert np.allclose(t_out.data, h_out.data, atol=1e-12)
+    feats, frames, pairs = _toy_clip(nc.Rng(9))
+    got = _run(full, feats, frames, pairs, prior).data
+    want = _run(bare, feats, frames, pairs, prior).data
+    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_tail_branch_with_unit_gate_sees_normalized_input():
@@ -103,8 +144,8 @@ def test_tail_branch_with_unit_gate_sees_normalized_input():
     gate.b.data[:] = 800.0
     prior = fg.compute_frequencies([5, 3, 2])
     x = nc.Rng(10).normals((4, 6))
-    t_out = dpeg.encode_local_tail(nc.Tensor(x), prior, gate, tail)
-    direct = tail(nc.layer_norm(nc.Tensor(x)))
+    t_out = _tail_branch(nc.Tensor(x), prior, gate, tail)
+    direct = _encode(tail, nc.layer_norm(nc.Tensor(x)))
     assert np.allclose(t_out.data, direct.data, atol=1e-10)
 
 
@@ -114,7 +155,7 @@ def test_tail_branch_matches_composition_of_oracles():
     gate = fg.FrequencyGate(4, 8, rng.spawn(1))
     prior = fg.compute_frequencies([10, 5, 3, 1])
     x = nc.Rng(12).normals((3, 8))
-    got = dpeg.encode_local_tail(nc.Tensor(x), prior, gate, tail).data
+    got = _tail_branch(nc.Tensor(x), prior, gate, tail).data
     g = 1.0 / (1.0 + np.exp(-(prior.log_inverse() @ gate.w.data + gate.b.data)))
     corrected = g * _np_layer_norm(x) + (1.0 - g) * x
     assert np.allclose(got, _encoder_oracle(corrected, tail), atol=1e-12)
@@ -132,14 +173,18 @@ def _zeroed_fusion(d, n_classes, bias):
     return gate
 
 
+def _fuse(h, t, f, gate: dpeg.FusionGate) -> nc.Tensor:
+    return dpeg.gated_mix(h, t, f, gate.w, gate.b)
+
+
 def test_fusion_saturation_selects_a_branch():
     rng = nc.Rng(13)
     h = nc.Tensor(rng.normals((4, 6)))
     t = nc.Tensor(rng.normals((4, 6)))
     f = np.array([0.5, 0.3, 0.2])
     spread = np.abs(h.data - t.data)
-    to_head = dpeg.fuse_local(h, t, f, _zeroed_fusion(6, 3, 20.0)).data
-    to_tail = dpeg.fuse_local(h, t, f, _zeroed_fusion(6, 3, -20.0)).data
+    to_head = _fuse(h, t, f, _zeroed_fusion(6, 3, 20.0)).data
+    to_tail = _fuse(h, t, f, _zeroed_fusion(6, 3, -20.0)).data
     assert np.all(np.abs(to_head - h.data) < 1e-8 * spread + 1e-15)
     assert np.all(np.abs(to_tail - t.data) < 1e-8 * spread + 1e-15)
 
@@ -148,7 +193,7 @@ def test_fusion_zero_gate_is_exact_midpoint():
     rng = nc.Rng(14)
     h = nc.Tensor(rng.normals((3, 4)))
     t = nc.Tensor(rng.normals((3, 4)))
-    got = dpeg.fuse_local(h, t, np.array([1.0, 0.0]), _zeroed_fusion(4, 2, 0.0)).data
+    got = _fuse(h, t, np.array([1.0, 0.0]), _zeroed_fusion(4, 2, 0.0)).data
     assert np.array_equal(got, (h.data + t.data) / 2.0)
 
 
@@ -164,14 +209,19 @@ def test_fusion_initial_gate_is_balanced():
     assert np.all(g > 0.45) and np.all(g < 0.55)
 
 
-def test_fusion_shape_mismatch_rejected():
-    gate = dpeg.FusionGate(4, 2, nc.Rng(0))
-    with pytest.raises(ContractError):
-        dpeg.fuse_local(nc.Tensor(np.zeros((2, 4))), nc.Tensor(np.zeros((3, 4))),
-                        np.array([0.5, 0.5]), gate)
-    with pytest.raises(ContractError):
-        dpeg.fuse_local(nc.Tensor(np.zeros((2, 4))), nc.Tensor(np.zeros((2, 4))),
-                        np.array([0.5, 0.3, 0.2]), gate)
+def test_fusion_matches_numpy_gate_on_task_stacked_inputs():
+    # the stacked form encode_stacked uses: slice t mixes with gate t and
+    # frequencies t, each broadcast over every row
+    rng = nc.Rng(62)
+    gates = [dpeg.FusionGate(4, 3, rng.spawn(i)) for i in range(2)]
+    w, b = dpeg.stack_tasks([(g.w, g.b) for g in gates])
+    h, t = rng.normals((2, 3, 5, 4)), rng.normals((2, 3, 5, 4))
+    f = rng.uniforms(6).reshape(2, 1, 1, 3)
+    got = dpeg.gated_mix(nc.Tensor(h), nc.Tensor(t), f, w, b).data
+    for i, gate in enumerate(gates):
+        rows = np.concatenate([h[i], t[i], np.broadcast_to(f[i], (3, 5, 3))], axis=-1)
+        g = 1.0 / (1.0 + np.exp(-(rows @ gate.w.data + gate.b.data)))
+        assert np.allclose(got[i], g * h[i] + (1.0 - g) * t[i], atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -182,7 +232,7 @@ def test_fusion_betweenness(seed):
     gate = dpeg.FusionGate(4, 2, rng)
     gate.w.data = rng.normals((10, 4))
     gate.b.data = rng.normals(4)
-    z = dpeg.fuse_local(nc.Tensor(h), nc.Tensor(t), np.array([0.9, 0.1]), gate).data
+    z = _fuse(nc.Tensor(h), nc.Tensor(t), np.array([0.9, 0.1]), gate).data
     assert np.all(z >= np.minimum(h, t) - 1e-12)
     assert np.all(z <= np.maximum(h, t) + 1e-12)
 
@@ -193,24 +243,24 @@ def test_fusion_betweenness(seed):
 
 
 def test_positional_encoding_row_zero():
-    pe = dpeg.positional_encoding(3, 6)
+    pe = dpeg.pe_at(np.arange(3), 6)
     assert np.array_equal(pe[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_positional_encoding_bounded():
-    pe = dpeg.positional_encoding(50, 8)
+    pe = dpeg.pe_at(np.arange(50), 8)
     assert np.all(np.abs(pe) <= 1.0)
 
 
 def test_positional_encoding_row_one_formula():
-    pe = dpeg.positional_encoding(2, 4)
+    pe = dpeg.pe_at(np.arange(2), 4)
     expect = [math.sin(1.0), math.cos(1.0), math.sin(10000 ** -0.5), math.cos(10000 ** -0.5)]
     assert pe[1] == pytest.approx(expect, abs=1e-15)
 
 
 def test_positional_encoding_rejects_odd_dim():
     with pytest.raises(ContractError):
-        dpeg.positional_encoding(4, 5)
+        dpeg.pe_at(np.arange(4), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +270,17 @@ def test_positional_encoding_rejects_odd_dim():
 
 def test_global_single_frame_residual_path():
     enc = dpeg.BranchEncoder(6, 2, nc.Rng(18))
-    enc.zero_mixing()
+    _zero_mixing(enc)
     z = nc.Rng(19).normals((1, 6))
     cfg = dpeg.WindowConfig(w=4, s=2)
-    seq = dpeg.encode_global(nc.Tensor(z), [7], enc, cfg)
+    seq = dpeg.encode_global(nc.Tensor(z), [7], dpeg.stacked_encoder([enc]), cfg)
     out = dpeg.aggregate_windows(seq, cfg).data
     expect = _np_layer_norm(_np_layer_norm(z + dpeg.pe_at([7], 6)))
     assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_global_encoding_depends_on_absolute_frame_index():
-    enc = dpeg.BranchEncoder(6, 2, nc.Rng(20))
+    enc = dpeg.stacked_encoder([dpeg.BranchEncoder(6, 2, nc.Rng(20))])
     z = nc.Tensor(nc.Rng(21).normals((3, 6)))
     cfg = dpeg.WindowConfig(w=3, s=1)
     at_zero = dpeg.aggregate_windows(dpeg.encode_global(z, [0, 1, 2], enc, cfg), cfg).data
@@ -242,13 +292,13 @@ def test_global_four_frames_matches_attention_oracle():
     enc = dpeg.BranchEncoder(8, 2, nc.Rng(22))
     z = nc.Rng(23).normals((4, 8))
     cfg = dpeg.WindowConfig(w=4, s=4)  # one window covering everything
-    seq = dpeg.encode_global(nc.Tensor(z), [0, 1, 2, 3], enc, cfg)
+    seq = dpeg.encode_global(nc.Tensor(z), [0, 1, 2, 3], dpeg.stacked_encoder([enc]), cfg)
     out = dpeg.aggregate_windows(seq, cfg).data
     assert np.allclose(out, _encoder_oracle(z + dpeg.pe_at([0, 1, 2, 3], 8), enc), atol=1e-12)
 
 
 def test_global_rejects_bad_sequences():
-    enc = dpeg.BranchEncoder(4, 2, nc.Rng(24))
+    enc = dpeg.stacked_encoder([dpeg.BranchEncoder(4, 2, nc.Rng(24))])
     cfg = dpeg.WindowConfig(w=2, s=1)
     with pytest.raises(ContractError):
         dpeg.encode_global(nc.Tensor(np.zeros((0, 4))), [], enc, cfg)
@@ -285,16 +335,16 @@ def test_aggregate_identity_cases():
     enc = dpeg.BranchEncoder(4, 2, nc.Rng(25))
     z = nc.Tensor(nc.Rng(26).normals((3, 4)))
     one = dpeg.WindowConfig(w=1, s=1)
-    seq = dpeg.encode_global(z, [0, 1, 2], enc, one)
+    seq = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), one)
     got = dpeg.aggregate_windows(seq, one).data
     # w=1: each position appears in exactly one window, so aggregation is identity
     pe = dpeg.pe_at([0, 1, 2], 4)
-    per_token = np.concatenate([enc(nc.Tensor(z.data[i:i + 1] + pe[i:i + 1])).data
+    per_token = np.concatenate([_encode(enc, z.data[i:i + 1] + pe[i:i + 1]).data
                                 for i in range(3)])
     assert np.allclose(got, per_token, atol=1e-12)
 
     whole = dpeg.WindowConfig(w=3, s=3)
-    seq2 = dpeg.encode_global(z, [0, 1, 2], enc, whole)
+    seq2 = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), whole)
     got2 = dpeg.aggregate_windows(seq2, whole).data
     assert np.allclose(got2, seq2.windows[0][1].data, atol=0)
 
@@ -356,8 +406,8 @@ def test_dpeg_forward_shape_and_determinism():
     model = dpeg.Dpeg(6, 2, 4, nc.Rng(30), window=dpeg.WindowConfig(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(31))
     prior = fg.compute_frequencies([8, 4, 2, 1])
-    out1 = model(nc.Tensor(feats), frames, pairs, prior).data
-    out2 = model(nc.Tensor(feats), frames, pairs, prior).data
+    out1 = _run(model, nc.Tensor(feats), frames, pairs, prior).data
+    out2 = _run(model, nc.Tensor(feats), frames, pairs, prior).data
     assert out1.shape == (6, 6)
     assert np.array_equal(out1, out2)
 
@@ -366,9 +416,9 @@ def test_dpeg_forward_row_alignment_under_permutation():
     model = dpeg.Dpeg(6, 2, 4, nc.Rng(32), window=dpeg.WindowConfig(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(33))
     prior = fg.compute_frequencies([8, 4, 2, 1])
-    base = model(nc.Tensor(feats), frames, pairs, prior).data
+    base = _run(model, nc.Tensor(feats), frames, pairs, prior).data
     perm = nc.Rng(34).permutation(len(frames))
-    moved = model(nc.Tensor(feats[perm]), frames[perm], pairs[perm], prior).data
+    moved = _run(model, nc.Tensor(feats[perm]), frames[perm], pairs[perm], prior).data
     assert np.allclose(moved, base[perm], atol=1e-12)
 
 
@@ -386,20 +436,21 @@ def test_dpeg_frequency_off_ignores_prior():
     feats, frames, pairs = _toy_clip(nc.Rng(37))
     skew = fg.compute_frequencies([100, 1, 1, 1])
     flat = fg.compute_frequencies([1, 1, 1, 1])
-    out_skew = model(nc.Tensor(feats), frames, pairs, skew).data
-    out_flat = model(nc.Tensor(feats), frames, pairs, flat).data
+    out_skew = _run(model, nc.Tensor(feats), frames, pairs, skew).data
+    out_flat = _run(model, nc.Tensor(feats), frames, pairs, flat).data
     assert np.array_equal(out_skew, out_flat)
 
 
-def test_dpeg_rejects_empty_and_mismatched_input():
+def test_clip_layout_rejects_duplicate_frame_pair_rows():
+    with pytest.raises(ContractError):
+        dpeg.clip_layout(np.array([1, 1]), np.array([0, 0]))
+
+
+def test_dpeg_rejects_prior_of_another_class_count():
     model = dpeg.Dpeg(4, 2, 3, nc.Rng(38))
-    prior = fg.compute_frequencies([1, 1, 1])
+    feats, frames, pairs = _toy_clip(nc.Rng(38), d=4)
     with pytest.raises(ContractError):
-        model(nc.Tensor(np.zeros((0, 4))), np.array([]), np.array([]), prior)
-    with pytest.raises(ContractError):
-        model(nc.Tensor(np.zeros((2, 4))), np.array([0]), np.array([0, 1]), prior)
-    with pytest.raises(ContractError):  # duplicate (frame, pair) row
-        model(nc.Tensor(np.zeros((2, 4))), np.array([1, 1]), np.array([0, 0]), prior)
+        _run(model, feats, frames, pairs, fg.compute_frequencies([1, 1]))
 
 
 def test_dpeg_gradients_match_finite_differences():
@@ -409,7 +460,7 @@ def test_dpeg_gradients_match_finite_differences():
     readout = nc.Tensor(nc.Rng(41).normals((4, 4)))
 
     def through_inputs(x):
-        return (model(x, frames, pairs, prior) * readout).sum()
+        return (_run(model, x, frames, pairs, prior) * readout).sum()
 
     assert nc.finite_diff_check(through_inputs, nc.Tensor(feats)) < 1e-4
 
@@ -419,7 +470,7 @@ def test_dpeg_gradients_match_finite_differences():
         saved = model.fusion.w
         model.fusion.w = w
         try:
-            return (model(x_fixed, frames, pairs, prior) * readout).sum()
+            return (_run(model, x_fixed, frames, pairs, prior) * readout).sum()
         finally:
             model.fusion.w = saved
 
@@ -432,21 +483,20 @@ def test_dpeg_batched_path_matches_per_group_composition():
     model = dpeg.Dpeg(6, 2, 4, nc.Rng(50), window=dpeg.WindowConfig(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(51))
     prior = fg.compute_frequencies([8, 4, 2, 1])
-    got = model(nc.Tensor(feats), frames, pairs, prior).data
+    got = _run(model, nc.Tensor(feats), frames, pairs, prior).data
 
     x = nc.Tensor(feats)
-    corrected = fg.frequency_correct(x, fg.gate_values(prior, model.freq_gate))
     z_rows = np.zeros_like(got)
     for t in np.unique(frames):
         idx = np.flatnonzero(frames == t)
-        h = dpeg.encode_local_head(x[idx], model.head_enc)
-        tl = model.tail_enc(corrected[idx])
-        z_rows[idx] = dpeg.fuse_local(h, tl, prior.f, model.fusion).data
+        h = _encode(model.head_enc, x[idx])
+        tl = _tail_branch(x[idx], prior, model.freq_gate, model.tail_enc)
+        z_rows[idx] = _fuse(h, tl, prior.f, model.fusion).data
     want = np.zeros_like(got)
     for p in np.unique(pairs):
         idx = np.flatnonzero(pairs == p)
         seq = dpeg.encode_global(nc.Tensor(z_rows[idx]), frames[idx],
-                                 model.global_enc, model.window)
+                                 dpeg.stacked_encoder([model.global_enc]), model.window)
         want[idx] = dpeg.aggregate_windows(seq, model.window).data
     assert np.allclose(got, want, atol=1e-12)
 
@@ -459,8 +509,8 @@ def test_dpeg_handles_ragged_clips():
     pairs = np.array([0, 0, 1, 0, 1])
     feats = nc.Rng(53).normals((5, 6))
     prior = fg.compute_frequencies([8, 4, 2, 1])
-    out = model(nc.Tensor(feats), frames, pairs, prior)
+    out = _run(model, nc.Tensor(feats), frames, pairs, prior)
     assert out.shape == (5, 6)
     perm = np.array([3, 0, 4, 1, 2])
-    moved = model(nc.Tensor(feats[perm]), frames[perm], pairs[perm], prior).data
+    moved = _run(model, nc.Tensor(feats[perm]), frames[perm], pairs[perm], prior).data
     assert np.allclose(moved, out.data[perm], atol=1e-12)

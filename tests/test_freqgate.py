@@ -1,7 +1,5 @@
 """Frequency prior, gate values, and the blended feature correction."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -53,13 +51,6 @@ def test_frequencies_reject_degenerate_counts():
         fg.compute_frequencies([])
 
 
-def test_prior_json_roundtrip():
-    prior = fg.compute_frequencies([7, 2, 1], eps=1e-6)
-    again = fg.FrequencyPrior.from_json(prior.to_json())
-    assert np.array_equal(again.f, prior.f)
-    assert again.eps == prior.eps
-
-
 # ---------------------------------------------------------------------------
 # gate_values
 # ---------------------------------------------------------------------------
@@ -72,27 +63,31 @@ def _manual_gate(w: np.ndarray, b: np.ndarray) -> fg.FrequencyGate:
     return gate
 
 
+def _gate(prior: fg.FrequencyPrior, gate: fg.FrequencyGate) -> nc.Tensor:
+    return fg.gate_values(prior.log_inverse(), gate.w, gate.b)
+
+
 def test_gate_zero_weights_give_half():
     prior = fg.compute_frequencies([9, 1, 4])
     gate = _manual_gate(np.zeros((3, 5)), np.zeros(5))
-    assert np.allclose(fg.gate_values(prior, gate).data, 0.5)
+    assert np.allclose(_gate(prior, gate).data, 0.5)
 
 
 def test_gate_identity_weights_closed_form():
     # sigmoid(ln(1/f)) = (1/f)/(1 + 1/f) = 1/(1+f)
     prior = fg.FrequencyPrior([1, 1], eps=0.0)
     gate = _manual_gate(np.eye(2), np.zeros(2))
-    assert np.allclose(fg.gate_values(prior, gate).data, [2 / 3, 2 / 3], atol=1e-15)
+    assert np.allclose(_gate(prior, gate).data, [2 / 3, 2 / 3], atol=1e-15)
 
     skew = fg.FrequencyPrior([9, 1], eps=0.0)
-    got = fg.gate_values(skew, gate).data
+    got = _gate(skew, gate).data
     assert got == pytest.approx([10 / 19, 10 / 11], abs=1e-12)
 
 
 def test_gate_strictly_inside_unit_interval():
     prior = fg.compute_frequencies([1000000, 1])
     gate = _manual_gate(nc.Rng(1).normals((2, 8)) * 50.0, np.zeros(8))
-    vals = fg.gate_values(prior, gate).data
+    vals = _gate(prior, gate).data
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
 
 
@@ -100,24 +95,37 @@ def test_gate_monotone_in_frequency_with_identity_weights():
     # rarer class => larger gate input => larger gate value
     prior = fg.compute_frequencies([50, 30, 15, 5])
     gate = _manual_gate(np.eye(4), np.zeros(4))
-    vals = fg.gate_values(prior, gate).data
+    vals = _gate(prior, gate).data
     order = np.argsort(prior.f)  # ascending frequency
     assert np.all(np.diff(vals[order]) < 0)
-
-
-def test_gate_dimension_mismatch():
-    prior = fg.compute_frequencies([1, 2, 3])
-    gate = fg.FrequencyGate(2, 4, nc.Rng(0))
-    with pytest.raises(ContractError):
-        fg.gate_values(prior, gate)
 
 
 def test_gate_init_starts_balanced():
     # small-noise W and zero b keep the initial gate near one half
     prior = fg.compute_frequencies([100, 10, 1])
     gate = fg.FrequencyGate(3, 16, nc.Rng(77))
-    vals = fg.gate_values(prior, gate).data
+    vals = _gate(prior, gate).data
     assert np.all(np.abs(vals - 0.5) < 0.15)
+
+
+def test_stacked_gates_equal_each_gate_alone():
+    # the form the generator runs: T priors' signals zero-padded to the
+    # widest class count, with the T gates' weight rows padded to match
+    priors = [fg.compute_frequencies([5, 3, 2]), fg.compute_frequencies([9, 1]),
+              fg.compute_frequencies([4, 4, 1, 7])]
+    gates = [fg.FrequencyGate(p.n_classes, 6, nc.Rng(80).spawn(i))
+             for i, p in enumerate(priors)]
+    for gate in gates:
+        gate.b.data = nc.Rng(81).normals(6)
+    signal = np.zeros((3, 1, 4))
+    w = np.zeros((3, 4, 6))
+    for t, (prior, gate) in enumerate(zip(priors, gates)):
+        signal[t, 0, :prior.n_classes] = prior.log_inverse()
+        w[t, :prior.n_classes] = gate.w.data
+    b = np.stack([gate.b.data for gate in gates])
+    got = fg.gate_values(signal, nc.Tensor(w), nc.Tensor(b)).data
+    for t, (prior, gate) in enumerate(zip(priors, gates)):
+        assert np.allclose(got[t, 0], _gate(prior, gate).data, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ def test_gate_and_correction_gradients_match_fd():
     gate = fg.FrequencyGate(3, 6, nc.Rng(4))
 
     def through_inputs(x):
-        corrected = fg.frequency_correct(x, fg.gate_values(prior, gate))
+        corrected = fg.frequency_correct(x, _gate(prior, gate))
         return (corrected * readout).sum()
 
     assert nc.finite_diff_check(through_inputs, nc.Tensor(rng.normals((5, 6)))) < 1e-4

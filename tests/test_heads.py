@@ -13,6 +13,8 @@ from fremure.errors import ContractError
 from fremure.freqgate import compute_frequencies
 from fremure.model import loss_attention, loss_multilabel_bce
 
+LOG_2PI = math.log(2.0 * math.pi)
+
 # E[sigmoid(x)] and Var[sigmoid(x)] for x ~ N(1, 0.5), frozen from adaptive
 # quadrature at high precision; drives the Monte Carlo consistency check.
 MC_MEAN = 0.7115731678447065
@@ -89,29 +91,30 @@ def test_bayesian_zero_variance_equals_linear_head_exactly():
     assert np.array_equal(p_bay.data, p_lin.data)
     assert rep.aleatoric == 0.0
     # independent of the sample count in the degenerate case
-    _, p_again, _ = bay.predict(z, nc.Rng(7), n_samples=17)
+    bay.s_eval = 17
+    _, p_again, _ = bay.predict(z, nc.Rng(7))
     assert np.array_equal(p_bay.data, p_again.data)
 
 
 def test_bayesian_symmetric_means_give_near_uniform():
-    head = heads.BayesianHead(3, 2, nc.Rng(8))
+    head = heads.BayesianHead(3, 2, nc.Rng(8), s_eval=10000)
     head.mu.w.data[:] = 0.0
     head.mu.b.data[:] = 0.0
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = 0.0  # unit variance
-    _, probs, _ = head.predict(nc.Tensor(np.zeros(3)), nc.Rng(9), n_samples=10000)
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(3)), nc.Rng(9))
     assert probs.data == pytest.approx([0.5, 0.5], abs=0.02)
 
 
 def test_bayesian_matches_independent_mc_oracle():
     # mu=[1,0], var=[0.25,0.25]: p_0 = E[sigmoid(x)] with x ~ N(1, 0.5)
-    head = heads.BayesianHead(2, 2, nc.Rng(10))
+    s = 10**6
+    head = heads.BayesianHead(2, 2, nc.Rng(10), s_eval=s)
     head.mu.w.data[:] = 0.0
     head.mu.b.data = np.array([1.0, 0.0])
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = math.log(0.25)
-    s = 10**6
-    _, probs, _ = head.predict(nc.Tensor(np.zeros(2)), nc.Rng(11), n_samples=s)
+    _, probs, _ = head.predict(nc.Tensor(np.zeros(2)), nc.Rng(11))
     se = math.sqrt(MC_VAR / s)
     assert abs(probs.data[0] - MC_MEAN) < 3 * se * 2  # head stream + oracle se margin
     # second, generator-independent estimate of the same expectation
@@ -127,7 +130,8 @@ def test_bayesian_sampling_noise_shrinks_with_s():
     master = nc.Rng(15)
 
     def spread(s, repeats=30):
-        outs = [head.predict(z, master.spawn(s * 1000 + r), n_samples=s)[1].data[0]
+        head.s_eval = s
+        outs = [head.predict(z, master.spawn(s * 1000 + r))[1].data[0]
                 for r in range(repeats)]
         return np.std(outs)
 
@@ -146,10 +150,10 @@ def test_bayesian_report_fields():
 
 @pytest.mark.parametrize("mode", heads.MODES)
 def test_bayesian_logits_activate_to_the_mean_of_the_draws(mode):
-    head = heads.BayesianHead(4, 5, nc.Rng(60), mode=mode)
+    head = heads.BayesianHead(4, 5, nc.Rng(60), s_eval=7, mode=mode)
     head.logvar.b.data[:] = 1.0                  # wide draws
     z = nc.Tensor(nc.Rng(61).normals((3, 4)))
-    _, probs, _ = head.predict(z, nc.Rng(62), n_samples=7)
+    _, probs, _ = head.predict(z, nc.Rng(62))
     mu = z.data @ head.mu.w.data + head.mu.b.data
     sigma = np.exp(0.5 * (z.data @ head.logvar.w.data + head.logvar.b.data))
     draws = mu + nc.Rng(62).normals((7, 3, 5)) * sigma
@@ -164,9 +168,9 @@ def test_bayesian_logits_activate_to_the_mean_of_the_draws(mode):
 def test_bayesian_sample_count_contract():
     with pytest.raises(ContractError):
         heads.BayesianHead(3, 2, nc.Rng(19), s_train=0)
-    head = heads.BayesianHead(3, 2, nc.Rng(20))
     with pytest.raises(ContractError):
-        head.predict(nc.Tensor(np.zeros(3)), nc.Rng(21), n_samples=0)
+        heads.BayesianHead(3, 2, nc.Rng(21), s_eval=0)
+    head = heads.BayesianHead(3, 2, nc.Rng(20))
     with pytest.raises(ContractError):  # sampling with no generator
         head.predict(nc.Tensor(np.zeros(3)), None)
 
@@ -189,20 +193,39 @@ def test_bayesian_reparameterized_gradients_match_fd():
 
 
 # ---------------------------------------------------------------------------
-# mixture density
+# mixture density: the test-side oracle for the mixture head's class logits
 # ---------------------------------------------------------------------------
 
 
+def _np_lse(x: np.ndarray) -> float:
+    shift = x.max()
+    return float(shift + np.log(np.exp(x - shift).sum()))
+
+
+def _gmm_density(score: float, means, variances, weights) -> float:
+    """Mixture density sum_k w_k N(score | mu_k, var_k), evaluated in log
+    space so widely separated components cannot underflow each other."""
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.asarray(variances, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if means.size < 1 or means.shape != variances.shape or means.shape != weights.shape:
+        raise ContractError("component parameter shapes must match, K >= 1")
+    if np.any(variances <= 0):
+        raise ContractError("component variances must be positive")
+    log_pdf = -0.5 * (LOG_2PI + np.log(variances)) - (score - means) ** 2 / (2.0 * variances)
+    return float(np.exp(_np_lse(np.log(weights) + log_pdf)))
+
+
 def test_density_standard_normal_at_mean():
-    got = heads.gmm_density(0.0, [0.0], [1.0], [1.0])
+    got = _gmm_density(0.0, [0.0], [1.0], [1.0])
     assert got == pytest.approx(0.3989423, abs=1e-6)
     assert got == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
 
 
 def test_density_identical_components_collapse():
     for score in (-1.3, 0.0, 2.7):
-        one = heads.gmm_density(score, [0.4], [0.8], [1.0])
-        two = heads.gmm_density(score, [0.4, 0.4], [0.8, 0.8], [0.5, 0.5])
+        one = _gmm_density(score, [0.4], [0.8], [1.0])
+        two = _gmm_density(score, [0.4, 0.4], [0.8, 0.8], [0.5, 0.5])
         assert two == pytest.approx(one, abs=1e-15)
 
 
@@ -215,22 +238,22 @@ def test_density_matches_naive_sum():
     for score in rng.normals(100) * 2.0:
         naive = (weights / np.sqrt(2 * np.pi * variances)
                  * np.exp(-((score - means) ** 2) / (2 * variances))).sum()
-        assert heads.gmm_density(score, means, variances, weights) == \
+        assert _gmm_density(score, means, variances, weights) == \
             pytest.approx(naive, rel=1e-12)
 
 
 def test_density_separated_components_do_not_underflow():
-    got = heads.gmm_density(0.0, [0.0, 100.0], [1e-3, 1e-3], [0.5, 0.5])
+    got = _gmm_density(0.0, [0.0, 100.0], [1e-3, 1e-3], [0.5, 0.5])
     assert np.isfinite(got) and got > 0.0
 
 
 def test_density_contract_errors():
     with pytest.raises(ContractError):
-        heads.gmm_density(0.0, [], [], [])
+        _gmm_density(0.0, [], [], [])
     with pytest.raises(ContractError):
-        heads.gmm_density(0.0, [0.0], [0.0], [1.0])
+        _gmm_density(0.0, [0.0], [0.0], [1.0])
     with pytest.raises(ContractError):
-        heads.gmm_density(0.0, [0.0, 1.0], [1.0], [1.0])
+        _gmm_density(0.0, [0.0, 1.0], [1.0], [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +268,9 @@ def _inverse_softplus(y: float) -> float:
 def test_gmm_variances_respect_structural_floor():
     head = heads.GmmPlusHead(4, 3, nc.Rng(26), k=2, sigma_min=1e-3)
     head.rho.data[:] = -1e6  # softplus underflows to 0
-    assert head.min_variance() == pytest.approx(1e-3, abs=0)
+    assert head.variances().data.min() == pytest.approx(1e-3, abs=0)
     head.rho.data[:] = nc.Rng(27).normals((3, 2)) * 10.0
-    assert head.min_variance() >= 1e-3
+    assert head.variances().data.min() >= 1e-3
 
 
 def test_gmm_mixture_weights_normalized():
@@ -292,7 +315,7 @@ def test_gmm_classify_composes_density_oracle():
     var = head.sigma_min + np.logaddexp(0.0, head.rho.data)
     pi = np.exp(head.mix.data) / np.exp(head.mix.data).sum(axis=-1, keepdims=True)
     log_dens = np.array([
-        math.log(heads.gmm_density(scores[c], head.means.data[c], var[c], pi[c]))
+        math.log(_gmm_density(scores[c], head.means.data[c], var[c], pi[c]))
         for c in range(3)
     ])
     expect = np.exp(log_dens + head.bias.data)

@@ -30,6 +30,19 @@ def _clip(rng, n_frames=3, n_pairs=2, raw=6, ca=2, cs=4, cc=4, clip_id=0):
     return recs
 
 
+def _loss_multilabel_margin(scores, positives, negatives):
+    """Per-row oracle for ``M._margin_rows``: the pairwise hinge
+    mean(max(0, 1 - s_p + s_n)) over positives x negatives of one row of
+    scores, zero when either set is empty."""
+    pos = np.asarray(positives, dtype=np.int64).ravel()
+    neg = np.asarray(negatives, dtype=np.int64).ravel()
+    if pos.size == 0 or neg.size == 0:
+        return nc.Tensor(0.0)
+    sp = nc.reshape(scores[pos], (pos.size, 1))
+    sn = nc.reshape(scores[neg], (1, neg.size))
+    return nc.maximum(1.0 - sp + sn, 0.0).mean()
+
+
 def _small_cfg(**over):
     base = dict(raw_dim=6, d=8, h=2, attn_classes=2, spat_classes=4,
                 cont_classes=4, window_w=2, window_s=1)
@@ -84,32 +97,25 @@ class TestLossOps:
         assert err < 1e-6
 
     def test_margin_hand_case(self):
-        scores = nc.Tensor(np.array([0.9, 0.2, 0.7, 0.1]))
-        got = M.loss_multilabel_margin(scores, [0, 2], [1, 3]).item()
+        scores = nc.Tensor(np.array([[0.9, 0.2, 0.7, 0.1]]))
+        got = M._margin_rows(scores, np.array([[1.0, 0.0, 1.0, 0.0]])).item()
         # pairs: 0.3, 0.2, 0.5, 0.4 over the 2x2 grid
         assert got == pytest.approx(0.35, rel=1e-12)
 
     def test_margin_empty_sets_give_zero(self):
-        scores = nc.Tensor(np.array([0.9, 0.2]))
-        assert M.loss_multilabel_margin(scores, [], [1]).item() == 0.0
-        assert M.loss_multilabel_margin(scores, [0], []).item() == 0.0
-
-    def test_margin_validates_index_sets(self):
-        scores = nc.Tensor(np.zeros(3))
-        with pytest.raises(ContractError):
-            M.loss_multilabel_margin(scores, [0], [0, 2])
-        with pytest.raises(ContractError):
-            M.loss_multilabel_margin(scores, [0], [3])
+        scores = nc.Tensor(np.array([[0.9, 0.2]]))
+        assert M._margin_rows(scores, np.array([[0.0, 0.0]])).item() == 0.0
+        assert M._margin_rows(scores, np.array([[1.0, 1.0]])).item() == 0.0
 
     def test_margin_satisfied_pairs_cost_nothing(self):
-        scores = nc.Tensor(np.array([2.5, 0.2]))
-        assert M.loss_multilabel_margin(scores, [0], [1]).item() == 0.0
+        scores = nc.Tensor(np.array([[2.5, 0.2]]))
+        assert M._margin_rows(scores, np.array([[1.0, 0.0]])).item() == 0.0
 
     def test_margin_gradient(self):
         # all hinges strictly active, away from the kink
-        x = nc.Tensor(np.array([0.3, 0.1, 0.4, 0.2]))
-        err = nc.finite_diff_check(
-            lambda t: M.loss_multilabel_margin(t, [0, 2], [1, 3]), x)
+        x = nc.Tensor(np.array([[0.3, 0.1, 0.4, 0.2]]))
+        bits = np.array([[1.0, 0.0, 1.0, 0.0]])
+        err = nc.finite_diff_check(lambda t: M._margin_rows(t, bits), x)
         assert err < 1e-6
 
     def test_batched_single_label_loss_equals_rowwise(self):
@@ -143,12 +149,12 @@ class TestLossOps:
         rows = []
         for i in range(5):
             pos, neg = np.flatnonzero(bits[i] == 1), np.flatnonzero(bits[i] == 0)
-            rows.append(M.loss_multilabel_margin(probs[i], pos, neg).item())
+            rows.append(_loss_multilabel_margin(probs[i], pos, neg).item())
         assert got == pytest.approx(np.mean(rows), rel=1e-12)
 
     def test_masked_margin_equals_rowwise_reference(self):
         # value and every gradient of the one-graph hinge against the sum of
-        # per-row loss_multilabel_margin graphs, on random bits; lattice
+        # per-row _loss_multilabel_margin graphs, on random bits; lattice
         # scores make hinges that are exactly 0, where both route the
         # gradient through the hinge (maximum's first argument)
         degenerate = exact_zero = 0
@@ -196,11 +202,11 @@ class TestLossOps:
 
 
 def _margin_rows_reference(scores, bits):
-    """Mean over rows of one loss_multilabel_margin graph per row."""
+    """Mean over rows of one _loss_multilabel_margin graph per row."""
     total = nc.Tensor(0.0)
     for i in range(bits.shape[0]):
         pos, neg = np.flatnonzero(bits[i] == 1), np.flatnonzero(bits[i] == 0)
-        total = total + M.loss_multilabel_margin(scores[i], pos, neg)
+        total = total + _loss_multilabel_margin(scores[i], pos, neg)
     return total * (1.0 / bits.shape[0])
 
 
@@ -431,8 +437,11 @@ class TestBatchedTrunks:
         grads = {k: p.grad.copy() for k, p in model.parameters().items() if p.grad is not None}
 
         model.zero_grad()
+        layout = dpeg.clip_layout(frames, pair_ids)
         for trunk, prior, z, r in zip(trunks, priors, together, readouts):
-            alone = trunk.dpeg(trunk.proj(nc.Tensor(feats)), frames, pair_ids, prior)
+            x = trunk.proj(nc.Tensor(feats))
+            alone = nc.reshape(dpeg.encode_stacked(
+                [trunk.dpeg], nc.reshape(x, (1,) + x.shape), layout, [prior]), x.shape)
             assert self._rel(z.data, alone.data) <= 1e-12
             (alone * r).sum().backward()
         alone_grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}

@@ -1,9 +1,14 @@
-"""The benchmark's hold on the program. ``bench/tracing.py`` wraps functions
-by name, so a renamed one would make ``bench/run.py --trace 1`` fail or read
-0; ``bench/checks.py`` reads the probabilities that ``FremureModel.forward``
-returns and requires them in [0, 1], with attention rows summing to 1."""
+"""The benchmark's hold on the program, and the program's hold on its own
+names. ``bench/tracing.py`` wraps functions by name, so a renamed one would
+make ``bench/run.py --trace 1`` fail or read 0; ``bench/checks.py`` reads the
+probabilities that ``FremureModel.forward`` returns and requires them in
+[0, 1], with attention rows summing to 1. Every function, class and method
+in ``src/fremure`` must be used by the program or the benchmark, not only by
+the tests."""
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +21,12 @@ from fremure import numcore as nc
 from fremure.data_metrics import TripletRecord
 
 PROB = 1e-9          # bench/checks.py's tolerance on probability sums
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tracing():
     """bench/tracing.py, loaded from its file without touching it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -85,3 +91,34 @@ def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
     entropy = out["reports"]["attn"].epistemic_rows
     assert np.all(np.isfinite(entropy))
     assert np.all((entropy >= -PROB) & (entropy <= np.log(3) + PROB))
+
+
+def _definitions(paths) -> dict:
+    """name -> {(path, line)} of every module-level function and class and
+    every method, dunder methods aside (the language calls those)."""
+    out = {}
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += node.body
+            for item in members:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and \
+                        not re.fullmatch(r"__\w+__", item.name):
+                    out.setdefault(item.name, set()).add((path, item.lineno))
+    return out
+
+
+def test_every_program_name_is_used_outside_the_tests():
+    # a name counts as used when it appears as a whole word on any line of
+    # the program or the benchmark other than one that defines it
+    src = sorted((ROOT / "src" / "fremure").glob("*.py"))
+    lines = [(path, i, line) for path in src + sorted((ROOT / "bench").glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), start=1)]
+    unused = []
+    for name, sites in sorted(_definitions(src).items()):
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) for path, i, line in lines
+                   if (path, i) not in sites):
+            unused.append(name)
+    assert unused == []
