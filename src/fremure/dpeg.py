@@ -9,7 +9,12 @@ to one embedding per (frame, pair).
 
 Generators of one architecture (a model's per-task trunks) run together as
 one pass, their weights stacked along a leading task axis (``encode_stacked``);
-a shared trunk is the one-task case of that pass.
+a shared trunk is the one-task case of that pass. The sliding windows of a
+track block are one more batch axis: ``encode_global`` gathers them into a
+(..., windows, w, d) tensor and encodes them in one call, and
+``aggregate_windows`` scatters them back with one weight-matrix product. A
+layout may cover several clips (a pack); rows of different clips never share
+a frame group or a track.
 
 Order conventions fixed here: fusion concatenates [head, tail, frequencies];
 window starts are 0, s, 2s, ... plus a final window ending at the last frame
@@ -18,7 +23,8 @@ so every position is covered (stride must not exceed the window length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,43 +172,12 @@ class WindowConfig:
             raise ContractError(f"unknown window weighting mode '{self.mode}'")
 
 
-@dataclass
-class WindowedSequence:
-    """Per-window encoder outputs over one temporal sequence."""
-    length: int
-    windows: list = field(default_factory=list)  # (start, Tensor(window_len, d))
-
-
 def window_starts(length: int, w: int, s: int) -> list:
     w = min(w, length)
     starts = list(range(0, length - w + 1, s))
     if starts[-1] != length - w:
         starts.append(length - w)
     return starts
-
-
-def encode_global(z: nc.Tensor, frames, encoder, cfg: WindowConfig) -> WindowedSequence:
-    """Add absolute-position encoding, then encode each sliding window.
-
-    z: (..., L, d); leading axes are independent sequences over the same
-    frames. ``encoder`` is a ``stacked_encoder``. Absolute frame indices feed
-    the encoding, so shifting a whole clip in time changes the output; that
-    is deliberate, not an invariance.
-    """
-    length = z.shape[-2]
-    if length == 0:
-        raise ContractError("cannot encode an empty frame sequence")
-    frames = np.asarray(frames, dtype=np.int64)
-    if frames.size != length:
-        raise ContractError("one frame index required per sequence row")
-    if (frames[1:] <= frames[:-1]).any():
-        raise ContractError("frame indices must be strictly increasing")
-    x = z + nc.Tensor(pe_at(frames, z.shape[-1]))
-    w = min(cfg.w, length)
-    out = WindowedSequence(length=length)
-    for start in window_starts(length, w, cfg.s):
-        out.windows.append((start, encoder(x[..., start:start + w, :])))
-    return out
 
 
 def _window_weights(m: int, mode: str) -> np.ndarray:
@@ -213,23 +188,68 @@ def _window_weights(m: int, mode: str) -> np.ndarray:
     return (m + 1) / 2.0 - np.abs(np.arange(m) - center)
 
 
-def aggregate_windows(seq: WindowedSequence, cfg: WindowConfig) -> nc.Tensor:
+@functools.lru_cache(maxsize=None)
+def _window_plan(length: int, w: int, s: int, mode: str) -> tuple:
+    """How the windows of a length-L sequence gather and scatter back:
+    (index, rows, scatter, inverse). ``rows`` holds the (windows, m)
+    positions of every window, m = min(w, L), windows in ``window_starts``
+    order, and ``index`` picks them out of an (..., L, d) array as
+    (..., windows, m, d); a single window is a view. ``scatter`` is the
+    (L, windows * m) weight matrix and ``inverse`` each row's reciprocal
+    summed weight, (L, 1). A model meets few lengths, so plans are kept."""
+    m = min(w, length)
+    rows = np.add.outer(window_starts(length, m, s), np.arange(m))
+    index = (Ellipsis, None, slice(None), slice(None)) if len(rows) == 1 \
+        else (Ellipsis, rows, slice(None))
+    scatter = np.zeros((length, rows.size))
+    scatter[rows.ravel(), np.arange(rows.size)] = np.tile(_window_weights(m, mode), len(rows))
+    inverse = (1.0 / scatter.sum(axis=1))[:, None]
+    for arr in (rows, scatter, inverse):
+        arr.setflags(write=False)
+    return index, rows, scatter, inverse
+
+
+def encode_global(z: nc.Tensor, frames, encoder, cfg: WindowConfig) -> nc.Tensor:
+    """Add absolute-position encoding, then encode every sliding window in
+    one pass.
+
+    z: (..., L, d); leading axes are independent sequences over the same
+    frames. The windows, each m = min(w, L) positions long, are gathered
+    along a new window axis and ``encoder`` (a ``stacked_encoder``) runs once
+    over the (..., windows, m, d) result, which is returned; attention stays
+    inside a window. Absolute frame indices feed the encoding, so shifting a
+    whole clip in time changes the output; that is deliberate, not an
+    invariance.
+    """
+    length = z.shape[-2]
+    if length == 0:
+        raise ContractError("cannot encode an empty frame sequence")
+    frames = np.asarray(frames, dtype=np.int64)
+    if frames.size != length:
+        raise ContractError("one frame index required per sequence row")
+    if (frames[1:] <= frames[:-1]).any():
+        raise ContractError("frame indices must be strictly increasing")
+    x = z + nc.Tensor(pe_at(frames, z.shape[-1]))
+    index = _window_plan(length, cfg.w, cfg.s, cfg.mode)[0]
+    return encoder(x[index])
+
+
+def aggregate_windows(values: nc.Tensor, length: int, cfg: WindowConfig) -> nc.Tensor:
     """Weighted per-position mean over every window containing the position.
-    Window values are (..., m, d); leading axes pass through."""
-    if not seq.windows:
-        raise ContractError("no windows to aggregate")
-    length = seq.length
-    total = np.zeros(length)
-    acc = None
-    for start, values in seq.windows:
-        m = values.shape[-2]
-        weights = _window_weights(m, cfg.mode)
-        scatter = np.zeros((length, m))
-        scatter[np.arange(start, start + m), np.arange(m)] = weights
-        term = nc.matmul(nc.Tensor(scatter), values)
-        acc = term if acc is None else acc + term
-        total[start:start + m] += weights
-    return acc * nc.Tensor((1.0 / total)[:, None])
+
+    values: (..., windows, m, d), as ``encode_global`` gives them for a
+    sequence of ``length`` positions; leading axes pass through. One scatter
+    matmul with a (length, windows * m) weight matrix sums every window's
+    weighted rows into place, and each row is then scaled by the reciprocal
+    of its summed weights.
+    """
+    _, rows, scatter, inverse = _window_plan(length, cfg.w, cfg.s, cfg.mode)
+    if values.shape[-3:-1] != rows.shape:
+        raise ContractError(f"window values of shape {values.shape[-3:-1]} do not "
+                            f"match the {rows.shape} windows of a length-{length} "
+                            "sequence")
+    flat = nc.reshape(values, values.shape[:-3] + (rows.size, values.shape[-1]))
+    return nc.matmul(nc.Tensor(scatter), flat) * nc.Tensor(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +274,12 @@ class ClipLayout:
     track_inverse: np.ndarray | None
 
 
-def _split_runs(order: np.ndarray, keys: np.ndarray) -> list:
-    """Cut ``order`` wherever ``keys[order]`` changes value."""
-    cuts = (np.flatnonzero(np.diff(keys[order])) + 1).tolist()
+def _split_runs(order: np.ndarray, *keys) -> list:
+    """Cut ``order`` wherever any of ``keys[order]`` changes value."""
+    changed = np.zeros(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        changed |= np.diff(key[order]) != 0
+    cuts = (np.flatnonzero(changed) + 1).tolist()
     return [order[a:b] for a, b in zip([0] + cuts, cuts + [order.size])]
 
 
@@ -274,13 +297,20 @@ def _inverse(blocks) -> np.ndarray | None:
     return None if (order[1:] > order[:-1]).all() else np.argsort(order)
 
 
-def clip_layout(frames, pair_ids) -> ClipLayout:
+def clip_layout(frames, pair_ids, clips=None) -> ClipLayout:
     """Group rows by frame (ascending row index inside a frame) and by pair
-    track (ascending frame inside a track)."""
+    track (ascending frame inside a track).
+
+    ``clips`` is a per-row clip key (None: every row is one clip's). Rows of
+    different clips never share a frame or a track, so attention and windows
+    stay inside a clip; frames with as many rows, and tracks over the same
+    frame numbers, still stack into one block across clips.
+    """
     frames = np.asarray(frames, dtype=np.int64)
     pair_ids = np.asarray(pair_ids, dtype=np.int64)
-    by_frame = _split_runs(np.argsort(frames, kind="stable"), frames)
-    by_pair = _split_runs(np.lexsort((frames, pair_ids)), pair_ids)
+    clips = np.zeros_like(frames) if clips is None else np.asarray(clips, dtype=np.int64)
+    by_frame = _split_runs(np.lexsort((frames, clips)), clips, frames)
+    by_pair = _split_runs(np.lexsort((frames, pair_ids, clips)), clips, pair_ids)
     track_frames = [tuple(frames[idx].tolist()) for idx in by_pair]
     for fr in track_frames:
         if len(set(fr)) != len(fr):
@@ -386,6 +416,6 @@ def encode_stacked(dpegs, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Te
     glob = stacked_encoder([dp.global_enc for dp in dpegs])
     chunks = []
     for block, frames in layout.tracks:
-        seq = encode_global(z[:, block], frames, glob, first.window)
-        chunks.append(aggregate_windows(seq, first.window))
+        windows = encode_global(z[:, block], frames, glob, first.window)
+        chunks.append(aggregate_windows(windows, len(frames), first.window))
     return _to_rows(chunks, layout.track_inverse, tasks, d)

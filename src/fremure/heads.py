@@ -97,7 +97,6 @@ class LinearHead(Head):
         _check_mode(mode)
         self.lin = nc.Linear(d, n_classes, rng)
         self.mode = mode
-        self.n_classes = n_classes
 
     def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
                             training: bool = False):
@@ -131,7 +130,6 @@ class BayesianHead(Head):
         self.s_train = s_train
         self.s_eval = s_eval
         self.mode = mode
-        self.n_classes = n_classes
 
     def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
                             training: bool = False):
@@ -208,8 +206,8 @@ class GmmPlusHead(Head):
             raise ContractError("mean perturbation requires an Rng")
         return self.means + nc.Tensor(self.tau * rng.normals((self.n_classes, self.k)))
 
-    def class_logits(self, z: nc.Tensor, rng: nc.Rng | None = None,
-                     training: bool = False) -> nc.Tensor:
+    def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
+                            training: bool = False):
         if z.shape[-1] != self.proj.w.shape[0]:
             raise ContractError(f"embedding dim {z.shape[-1]} != head input dim "
                                 f"{self.proj.w.shape[0]}")
@@ -219,15 +217,10 @@ class GmmPlusHead(Head):
         var = self.variances()
         log_pdf = -0.5 * (LOG_2PI + nc.log(var)) - (scores - means) ** 2.0 / (2.0 * var)
         log_pi = nc.log_softmax(self.mix, axis=-1)
-        log_density = nc.log_sum_exp(log_pi + log_pdf, axis=-1)
-        return log_density + self.bias
-
-    def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
-                            training: bool = False):
-        logits = self.class_logits(z, rng, training)
+        logits = nc.log_sum_exp(log_pi + log_pdf, axis=-1) + self.bias
         # class-level mixture variances: the same for every sample in a batch
         pi = self.mixture_weights()
-        return logits, float((pi * self.variances().data).sum(axis=-1).mean())
+        return logits, float((pi * var.data).sum(axis=-1).mean())
 
     def regularizer(self, prior: FrequencyPrior) -> nc.Tensor:
         """lam * sum_c w_c sum_k max(0, sigma_target^2 - var_{c,k}) with

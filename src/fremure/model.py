@@ -202,6 +202,27 @@ def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
 # model
 # ---------------------------------------------------------------------------
 
+class _RowStreams:
+    """One Rng per block of consecutive rows, for a pack of clips. A draw of
+    shape (..., rows, C) concatenates each stream's own (..., its rows, C)
+    draw along the row axis, so every block gets what its Rng alone gives."""
+
+    def __init__(self, rngs, sizes):
+        self.rngs = rngs
+        self.sizes = sizes
+
+    def spawn(self, key: int) -> "_RowStreams":
+        return _RowStreams([r.spawn(key) for r in self.rngs], self.sizes)
+
+    def normals(self, shape) -> np.ndarray:
+        shape = tuple(shape)
+        if len(shape) < 2 or shape[-2] != sum(self.sizes):
+            raise ContractError(f"a draw of shape {shape} has no row axis of "
+                                f"{sum(self.sizes)} rows")
+        return np.concatenate([r.normals(shape[:-2] + (n, shape[-1]))
+                               for r, n in zip(self.rngs, self.sizes)], axis=-2)
+
+
 class _Trunk(nc.Module):
     """Input projection followed by the pair-encoding stack. A model's trunks
     always run together, as one batched pass (``FremureModel._embed``)."""
@@ -247,15 +268,22 @@ class FremureModel(nc.Module):
     # priors live outside the parameter tree; Module.parameters would otherwise
     # not see them anyway since FrequencyPrior holds plain arrays.
 
-    def _check_clip(self, clip):
+    def _check_clip(self, clip, packed: bool) -> list:
+        """Validate the records and return the row count of each clip in
+        them; only a pack may hold more than one clip."""
         if not clip:
             raise ContractError("empty clip")
+        sizes = [0]
         cid = clip[0].clip
         counts = self.cfg.class_counts()
         for i, rec in enumerate(clip):
             if rec.clip != cid:
-                raise ContractError(f"record {i} belongs to clip {rec.clip}, "
-                                    f"expected {cid}")
+                if not packed:
+                    raise ContractError(f"record {i} belongs to clip {rec.clip}, "
+                                        f"expected {cid}")
+                cid = rec.clip
+                sizes.append(0)
+            sizes[-1] += 1
             if len(rec.feat) != self.cfg.raw_dim:
                 raise ContractError(f"record {i} feature dim {len(rec.feat)} != "
                                     f"configured raw_dim {self.cfg.raw_dim}")
@@ -265,18 +293,40 @@ class FremureModel(nc.Module):
             if len(rec.spat) != counts["spat"] or len(rec.cont) != counts["cont"]:
                 raise ContractError(f"record {i} label widths do not match the "
                                     "configured class counts")
+        return sizes
 
-    def forward(self, clip, rng: nc.Rng | None = None, training: bool = False):
+    def forward(self, clip, rng=None, training: bool = False):
         """Returns {"logits": ..., "probs": ..., "reports": ...}, each keyed
         by task: (N, C_task) logit and probability Tensors and the head's
-        `UncertaintyReport`, rows aligned to the clip's record order."""
-        self._check_clip(clip)
+        `UncertaintyReport`, rows aligned to the records' order.
+
+        ``clip`` holds one clip's records, with ``rng`` an ``nc.Rng`` or
+        None. Or it is a pack, for scoring only: the records of several
+        clips back to back, each clip's records contiguous, with ``rng`` a
+        list of one Rng per clip. Rows of different clips share no
+        attention and no window, and each clip's draws come from its own
+        Rng, so a pack gives every clip the rows its own forward would. The
+        one exception is rounding: a clip with a one-row block (a frame of
+        one pair) multiplies one-row matrices alone, which BLAS may round in
+        the last bit unlike the same row inside a pack's larger block.
+        """
+        packed = isinstance(rng, list)
+        sizes = self._check_clip(clip, packed)
+        if packed:
+            if training:
+                raise ContractError("a pack of clips is scored, not trained: "
+                                    "training takes one clip per forward")
+            if len(rng) != len(sizes):
+                raise ContractError(f"a pack of {len(sizes)} clips needs as many "
+                                    f"Rngs, got {len(rng)}")
+            rng = _RowStreams(rng, sizes)
         feats = np.array([r.feat for r in clip], dtype=np.float64)
         frames = np.asarray([r.frame for r in clip], dtype=np.int64)
         pair_keys = [(r.subj, r.obj) for r in clip]
         codes = {pair: i for i, pair in enumerate(sorted(set(pair_keys)))}
         pair_ids = np.asarray([codes[p] for p in pair_keys], dtype=np.int64)
-        embeds = self._embed(feats, clip_layout(frames, pair_ids))
+        clip_keys = np.repeat(np.arange(len(sizes)), sizes)
+        embeds = self._embed(feats, clip_layout(frames, pair_ids, clip_keys))
 
         out = {"logits": {}, "probs": {}, "reports": {}}
         for i, t in enumerate(TYPES):
@@ -376,38 +426,6 @@ def grad_conflict(model: FremureModel, clip, rng: nc.Rng | None = None) -> Confl
     return ConflictReport(True, n_shared, cosines)
 
 
-def finite_diff_model(model: nc.Module, f, h: float = 1e-5) -> float:
-    """Check the tape gradient of ``f()`` (a scalar Tensor closure over the
-    model) against central differences, coordinate by coordinate over every
-    parameter. ``f`` must be deterministic; fix any sampling inside it.
-    Returns the worst relative error, |ad - fd| / (|fd| + 1e-8)."""
-    params = model.parameters()
-    model.zero_grad()
-    out = f()
-    if out.data.size != 1:
-        raise ContractError("finite_diff_model expects a scalar loss closure")
-    out.backward()
-    grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for k, p in params.items()}
-    worst = 0.0
-    with nc.no_grad():
-        for key, p in params.items():
-            flat = p.data.ravel()
-            gflat = grads[key].ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = f().item()
-                flat[i] = orig - h
-                lo = f().item()
-                flat[i] = orig
-                central = (hi - lo) / (2.0 * h)
-                err = abs(gflat[i] - central) / (abs(central) + 1e-8)
-                worst = max(worst, err)
-    model.zero_grad()
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -433,9 +451,32 @@ class Predictions:
     uncertainty: dict
 
 
+# records per no-grad forward in `predict_clips`: packing clips up to this
+# size cuts per-op dispatch. At d=64, packs of 320 records made arrays large
+# enough that the allocator mapped fresh pages for them on every pack (about
+# 57k page faults per eval-dense scoring pass), which cost more than packing
+# saved
+PACK_RECORDS = 200
+
+
+def _packs(clips, cap: int) -> list:
+    """Runs of consecutive clip indices of at most ``cap`` records each; a
+    clip of more records than that is a pack of its own."""
+    packs, size = [], 0
+    for ci, clip in enumerate(clips):
+        if packs and size + len(clip) <= cap:
+            packs[-1].append(ci)
+            size += len(clip)
+        else:
+            packs.append([ci])
+            size = len(clip)
+    return packs
+
+
 def predict_clips(model: FremureModel, clips, rng: nc.Rng) -> Predictions:
-    """Score every class for every record, one forward pass per clip; clip
-    i draws from ``rng.spawn(i)``."""
+    """Score every class for every record. Consecutive clips go through
+    ``FremureModel.forward`` together, in packs of at most ``PACK_RECORDS``
+    records, and clip i draws from ``rng.spawn(i)`` as if scored alone."""
     counts = model.cfg.class_counts()
     keys = sorted({(rec.clip, rec.frame) for clip in clips for rec in clip})
     frame_of = {key: i for i, key in enumerate(keys)}
@@ -443,16 +484,18 @@ def predict_clips(model: FremureModel, clips, rng: nc.Rng) -> Predictions:
     uncertainty = {f"{t}_{kind}": [] for t in TYPES
                    for kind in ("aleatoric", "epistemic")}
     with nc.no_grad():
-        for ci, clip in enumerate(clips):
-            out = model.forward(clip, rng.spawn(ci), training=False)
+        for pack in _packs(clips, PACK_RECORDS):
+            records = [rec for ci in pack for rec in clips[ci]]
+            out = model.forward(records, [rng.spawn(ci) for ci in pack],
+                                training=False)
             ids.append(np.array([(frame_of[(r.clip, r.frame)], r.subj, r.obj)
-                                 for r in clip], dtype=np.int64))
+                                 for r in records], dtype=np.int64))
             # columns in TYPES order are the global class numbering
             scores.append(np.concatenate([out["probs"][t].data for t in TYPES],
                                          axis=1))
             labels.append(np.concatenate(
-                [np.eye(counts["attn"], dtype=bool)[[r.attn for r in clip]]]
-                + [np.array([getattr(r, t) for r in clip]) != 0
+                [np.eye(counts["attn"], dtype=bool)[[r.attn for r in records]]]
+                + [np.array([getattr(r, t) for r in records]) != 0
                    for t in ("spat", "cont")], axis=1))
             for t in TYPES:
                 report = out["reports"][t]
@@ -472,8 +515,8 @@ def predict_clips(model: FremureModel, clips, rng: nc.Rng) -> Predictions:
 def evaluate(model: FremureModel, records, ks=(10, 20, 50), constraint: bool = True,
              seed: int = 0) -> dict:
     """Recall, mean recall and per-class recall at each K over the given
-    records, from one forward pass per clip and one ranking of every frame.
-    "uncertainty" holds each record's uncertainty values from those passes
+    records, from packed forward passes (`predict_clips`) and one ranking of
+    every frame. "uncertainty" holds each record's uncertainty values from those passes
     (see `Predictions`), records in `group_clips` order."""
     clips = group_clips(records)
     if not clips:

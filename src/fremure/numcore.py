@@ -6,8 +6,10 @@ the design:
 
 * all arithmetic is double precision, so central-difference gradient checks
   are meaningful at h ~ 1e-5;
-* gradients live on an explicit tape: ``backward()`` accumulates into ``.grad``
-  until the caller resets them, which is what the optimizer step expects;
+* gradients live on an explicit tape: ``backward()`` accumulates into the
+  ``.grad`` of leaves until the caller resets them, which is what the
+  optimizer step expects; it never visits a constant, and an op's backward
+  computes no gradient for an operand that does not require one;
 * every random draw comes from :class:`Rng`, a counter-based generator with a
   fully documented output function, so identical seeds give bit-identical
   streams on any platform.
@@ -58,9 +60,9 @@ class Tensor:
     """A dense float64 array with an optional gradient slot.
 
     ``requires_grad`` marks leaves the tape should differentiate; results of
-    operations on such tensors carry backward closures. ``grad`` is ``None``
-    until the first ``backward()`` reaches the tensor and accumulates across
-    subsequent calls until reset.
+    operations on such tensors carry backward closures. A leaf's ``grad`` is
+    ``None`` until the first ``backward()`` reaches it and accumulates across
+    subsequent calls until reset; an op result's ``grad`` stays ``None``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -95,9 +97,14 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self):
-        """Backpropagate from a scalar; accumulates into ``.grad`` slots."""
+        """Backpropagate from a scalar; accumulates into the ``.grad`` slots
+        of the leaves that require gradients (the parameters and other
+        tensors made with ``requires_grad=True``). Constants are never
+        visited, and intermediate results keep ``.grad`` None."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss tensor")
+        if not self.requires_grad:
+            return
         order = []
         seen = set()
         stack = [(self, False)]
@@ -111,20 +118,19 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         flow = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             grad = flow.pop(id(node), None)
             if grad is None:
                 continue
-            if node.requires_grad:
-                node.grad = grad.copy() if node.grad is None else node.grad + grad
             if node._backward is None:
+                node.grad = grad.copy() if node.grad is None else node.grad + grad
                 continue
             parent_grads = node._backward(grad)
             for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None:
+                if pgrad is None or not parent.requires_grad:
                     continue
                 acc = flow.get(id(parent))
                 flow[id(parent)] = pgrad if acc is None else acc + pgrad
@@ -135,13 +141,20 @@ def _wrap(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents, backward) -> Tensor:
-    out = Tensor(data)
-    if not _GRAD_ENABLED:
-        return out
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    # op results are float64 arrays already, so skip Tensor.__init__'s asarray
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
     return out
 
 
@@ -154,7 +167,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -164,7 +178,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -174,8 +189,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -185,8 +200,9 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
 
     def backward(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -227,9 +243,12 @@ def matmul(a, b, scale: float | None = None) -> Tensor:
             g2 = np.expand_dims(g2, -2)
         a2 = np.expand_dims(a.data, 0) if a_vec else a.data
         b2 = np.expand_dims(b.data, -1) if b_vec else b.data
-        ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
-        gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
-        return ga.reshape(a.data.shape), gb.reshape(b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), backward)
 
@@ -266,7 +285,8 @@ def affine(x, w, b=None, act: str | None = None) -> Tensor:
             g = g * mask
         x2 = x.data.reshape(lead + (-1, n_in))
         g2 = g.reshape(lead + (-1, n_out))
-        gx = (g2 @ np.swapaxes(w.data, -1, -2)).reshape(x.data.shape)
+        gx = (g2 @ np.swapaxes(w.data, -1, -2)).reshape(x.data.shape) \
+            if x.requires_grad else None
         gw = np.swapaxes(x2, -1, -2) @ g2
         if b is None:
             return gx, gw
@@ -321,8 +341,8 @@ def maximum(a, b) -> Tensor:
     mask = a.data >= b.data
 
     def backward(g):
-        return (_unbroadcast(g * mask, a.data.shape),
-                _unbroadcast(g * ~mask, b.data.shape))
+        return (_unbroadcast(g * mask, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * ~mask, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -419,13 +439,28 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), backward)
 
 
+def _is_basic(index) -> bool:
+    """True for an index of ints, slices, None and Ellipsis only: numpy's
+    basic indexing, which never selects an element twice."""
+    parts = index if type(index) is tuple else (index,)
+    return all(p is None or p is Ellipsis or type(p) in (int, slice)
+               or isinstance(p, np.integer) for p in parts)
+
+
 def getitem(a, index) -> Tensor:
+    """a[index]. The backward pass assigns the gradient into zeros for a
+    basic index, and accumulates it with ``np.add.at`` for index arrays,
+    which may pick an element more than once."""
     a = _wrap(a)
     out = a.data[index]
+    basic = _is_basic(index)
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
+        if basic:
+            ga[index] = g
+        else:
+            np.add.at(ga, index, g)
         return (ga,)
 
     return _make(out, (a,), backward)
@@ -759,8 +794,11 @@ class Rng:
         return categorical_from_uniforms(pmf, self.uniforms(n))
 
     def spawn(self, key: int) -> "Rng":
-        child = int(_mix64((self.seed + (key + 1) * _GOLDEN) & _MASK64)[0])
-        return Rng(child)
+        # _mix64 on one Python int: the same bits without a numpy round trip
+        z = (self.seed + (key + 1) * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return Rng(z ^ (z >> 31))
 
 
 # ---------------------------------------------------------------------------
@@ -863,35 +901,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Compare the tape gradient of a scalar function against central differences.
-
-    Returns max over coordinates of |autodiff - central| / (|central| + 1e-8).
-    `f` must map a Tensor to a scalar Tensor and be deterministic.
-    """
-    probe = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    out = f(probe)
-    if out.data.size != 1:
-        raise ContractError("finite_diff_check expects a scalar-valued function")
-    out.backward()
-    grad = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-    flat = grad.ravel()
-    worst = 0.0
-    base = np.array(x.data, copy=True)
-    with no_grad():
-        for i in range(base.size):
-            bumped = base.copy()
-            bumped.flat[i] += h
-            hi = f(Tensor(bumped)).item()
-            bumped.flat[i] -= 2 * h
-            lo = f(Tensor(bumped)).item()
-            central = (hi - lo) / (2.0 * h)
-            err = abs(flat[i] - central) / (abs(central) + 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -22,6 +22,7 @@ from fremure.cli import VARIANTS, main
 from fremure.data_metrics import (SyntheticConfig, TripletRecord,
                                   generate_dataset, mean_recall_at_k,
                                   recall_at_k)
+from gradcheck import finite_diff_model
 
 
 def _verdict(num: int, ok: bool, detail: str):
@@ -71,7 +72,7 @@ def test_criterion_1_full_model_gradients_match_finite_differences():
     for i in range(20):
         clip = _clip(nc.Rng(100 + i), n_frames=2, n_pairs=2, raw=3,
                      ca=2, cs=2, cc=2, clip_id=i)
-        err = fm.finite_diff_model(
+        err = finite_diff_model(
             model, lambda c=clip: model.total_loss(c, None, training=False)[0],
             h=3e-5)
         worst = max(worst, err)
@@ -96,7 +97,7 @@ def test_criterion_2_closed_form_values():
     head.proj.b.data[:] = 0.0
     head.means.data[:] = 0.0
     head.rho.data[:] = np.log(np.expm1(1.0 - head.sigma_min))  # variance == 1
-    pdf = float(np.exp(head.class_logits(nc.Tensor(np.zeros(3))).data[0]))
+    pdf = float(np.exp(head.logits_and_variance(nc.Tensor(np.zeros(3)))[0].data[0]))
     ok_pdf = abs(pdf - 0.3989423) <= 1e-6
 
     # zeroed gate parameters put the fusion gate at exactly 1/2, and

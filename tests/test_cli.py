@@ -283,7 +283,7 @@ def test_eval_writes_one_uncertainty_row_per_record(trained, tmp_path):
         assert all(np.isfinite(row[key]) for row in rows)
 
 
-def test_eval_runs_one_forward_per_clip(tmp_path, monkeypatch):
+def test_eval_runs_one_forward_per_pack(tmp_path, monkeypatch):
     cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
     ckpt = os.path.join(outdir, "checkpoint.json")
@@ -292,16 +292,19 @@ def test_eval_runs_one_forward_per_clip(tmp_path, monkeypatch):
     forward = FremureModel.forward
 
     def counting(self, clip, *args, **kwargs):
-        calls.append(clip[0].clip)
+        calls.append([rec.clip for rec in clip])
         return forward(self, clip, *args, **kwargs)
 
+    # 3 test clips of 4 records: packs of at most 8 records take 2 clips, then 1
+    monkeypatch.setattr(fm, "PACK_RECORDS", 8)
     monkeypatch.setattr(FremureModel, "forward", counting)
     evaldir = str(tmp_path / "ev5")
     assert main(["eval", "--checkpoint", ckpt, "--data", data,
                  "--out", evaldir, "--seed", "4"]) == 0
     monkeypatch.undo()
     clips = group_clips(read_jsonl(data))
-    assert calls == [clip[0].clip for clip in clips]
+    assert [len(call) for call in calls] == [8, 4]
+    assert sum(calls, []) == [rec.clip for clip in clips for rec in clip]
 
     # the written rows are the reports of a fresh forward with the same
     # per-clip sampling streams

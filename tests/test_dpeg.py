@@ -11,6 +11,7 @@ from fremure import dpeg
 from fremure import freqgate as fg
 from fremure import numcore as nc
 from fremure.errors import ContractError
+from gradcheck import finite_diff_check
 
 # ---------------------------------------------------------------------------
 # test-side oracles
@@ -39,6 +40,39 @@ def _encoder_oracle(x: np.ndarray, enc: dpeg.BranchEncoder) -> np.ndarray:
     merged = np.concatenate(heads, axis=-1)
     x1 = _np_layer_norm(x + lin(merged, enc.o))
     return _np_layer_norm(x1 + lin(np.maximum(lin(x1, enc.ffn1), 0.0), enc.ffn2))
+
+
+def _windows_oracle(z: nc.Tensor, frames, encoder, cfg: dpeg.WindowConfig) -> list:
+    """The per-window loop that ``encode_global`` replaces: (start, encoded
+    window) for each window, every window encoded by its own call."""
+    x = z + nc.Tensor(dpeg.pe_at(frames, z.shape[-1]))
+    length = z.shape[-2]
+    w = min(cfg.w, length)
+    return [(start, encoder(x[..., start:start + w, :]))
+            for start in dpeg.window_starts(length, w, cfg.s)]
+
+
+def _aggregate_oracle(windows, length: int, cfg: dpeg.WindowConfig) -> nc.Tensor:
+    """The per-window scatter that ``aggregate_windows`` replaces: one
+    (length, m) matmul per window, summed in window order, then scaled by
+    the inverse of each position's summed weights."""
+    total = np.zeros(length)
+    acc = None
+    for start, values in windows:
+        m = values.shape[-2]
+        weights = dpeg._window_weights(m, cfg.mode)
+        scatter = np.zeros((length, m))
+        scatter[np.arange(start, start + m), np.arange(m)] = weights
+        term = nc.matmul(nc.Tensor(scatter), values)
+        acc = term if acc is None else acc + term
+        total[start:start + m] += weights
+    return acc * nc.Tensor((1.0 / total)[:, None])
+
+
+def _global(z, frames, encoder, cfg) -> nc.Tensor:
+    """The batched global stage over one (..., L, d) sequence."""
+    return dpeg.aggregate_windows(dpeg.encode_global(z, frames, encoder, cfg),
+                                  len(frames), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +307,7 @@ def test_global_single_frame_residual_path():
     _zero_mixing(enc)
     z = nc.Rng(19).normals((1, 6))
     cfg = dpeg.WindowConfig(w=4, s=2)
-    seq = dpeg.encode_global(nc.Tensor(z), [7], dpeg.stacked_encoder([enc]), cfg)
-    out = dpeg.aggregate_windows(seq, cfg).data
+    out = _global(nc.Tensor(z), [7], dpeg.stacked_encoder([enc]), cfg).data
     expect = _np_layer_norm(_np_layer_norm(z + dpeg.pe_at([7], 6)))
     assert np.allclose(out, expect, atol=1e-12)
 
@@ -283,8 +316,8 @@ def test_global_encoding_depends_on_absolute_frame_index():
     enc = dpeg.stacked_encoder([dpeg.BranchEncoder(6, 2, nc.Rng(20))])
     z = nc.Tensor(nc.Rng(21).normals((3, 6)))
     cfg = dpeg.WindowConfig(w=3, s=1)
-    at_zero = dpeg.aggregate_windows(dpeg.encode_global(z, [0, 1, 2], enc, cfg), cfg).data
-    shifted = dpeg.aggregate_windows(dpeg.encode_global(z, [5, 6, 7], enc, cfg), cfg).data
+    at_zero = _global(z, [0, 1, 2], enc, cfg).data
+    shifted = _global(z, [5, 6, 7], enc, cfg).data
     assert not np.allclose(at_zero, shifted)
 
 
@@ -292,8 +325,7 @@ def test_global_four_frames_matches_attention_oracle():
     enc = dpeg.BranchEncoder(8, 2, nc.Rng(22))
     z = nc.Rng(23).normals((4, 8))
     cfg = dpeg.WindowConfig(w=4, s=4)  # one window covering everything
-    seq = dpeg.encode_global(nc.Tensor(z), [0, 1, 2, 3], dpeg.stacked_encoder([enc]), cfg)
-    out = dpeg.aggregate_windows(seq, cfg).data
+    out = _global(nc.Tensor(z), [0, 1, 2, 3], dpeg.stacked_encoder([enc]), cfg).data
     assert np.allclose(out, _encoder_oracle(z + dpeg.pe_at([0, 1, 2, 3], 8), enc), atol=1e-12)
 
 
@@ -324,19 +356,11 @@ def test_window_starts_cover_tail():
     assert dpeg.window_starts(8, 3, 2) == [0, 2, 4, 5]  # tail window appended
 
 
-def _manual_sequence(length, window_values):
-    seq = dpeg.WindowedSequence(length=length)
-    for start, vals in window_values:
-        seq.windows.append((start, nc.Tensor(np.asarray(vals, dtype=np.float64))))
-    return seq
-
-
 def test_aggregate_identity_cases():
     enc = dpeg.BranchEncoder(4, 2, nc.Rng(25))
     z = nc.Tensor(nc.Rng(26).normals((3, 4)))
     one = dpeg.WindowConfig(w=1, s=1)
-    seq = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), one)
-    got = dpeg.aggregate_windows(seq, one).data
+    got = _global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), one).data
     # w=1: each position appears in exactly one window, so aggregation is identity
     pe = dpeg.pe_at([0, 1, 2], 4)
     per_token = np.concatenate([_encode(enc, z.data[i:i + 1] + pe[i:i + 1]).data
@@ -344,9 +368,10 @@ def test_aggregate_identity_cases():
     assert np.allclose(got, per_token, atol=1e-12)
 
     whole = dpeg.WindowConfig(w=3, s=3)
-    seq2 = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), whole)
-    got2 = dpeg.aggregate_windows(seq2, whole).data
-    assert np.allclose(got2, seq2.windows[0][1].data, atol=0)
+    windows = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), whole)
+    assert windows.shape == (1, 3, 4)
+    got2 = dpeg.aggregate_windows(windows, 3, whole).data
+    assert np.array_equal(got2, windows.data[0])
 
 
 def test_aggregate_average_matches_brute_force():
@@ -354,8 +379,8 @@ def test_aggregate_average_matches_brute_force():
     # value in the two windows
     a = np.arange(4.0).reshape(2, 2)          # window at 0, rows for pos 0,1
     b = 10.0 + np.arange(4.0).reshape(2, 2)   # window at 1, rows for pos 1,2
-    seq = _manual_sequence(3, [(0, a), (1, b)])
-    out = dpeg.aggregate_windows(seq, dpeg.WindowConfig(w=2, s=1, mode="average")).data
+    cfg = dpeg.WindowConfig(w=2, s=1, mode="average")
+    out = dpeg.aggregate_windows(nc.Tensor(np.stack([a, b])), 3, cfg).data
     assert np.array_equal(out[0], a[0])
     assert np.array_equal(out[2], b[1])
     assert np.allclose(out[1], (a[1] + b[0]) / 2.0)
@@ -363,10 +388,9 @@ def test_aggregate_average_matches_brute_force():
 
 def test_aggregate_triangular_matches_brute_force():
     rng = nc.Rng(27)
-    values = [(0, rng.normals((3, 2))), (2, rng.normals((3, 2))), (1, rng.normals((3, 2)))]
-    seq = _manual_sequence(5, values)
+    values = [(start, rng.normals((3, 2))) for start in (0, 1, 2)]
     cfg = dpeg.WindowConfig(w=3, s=1, mode="triangular")
-    got = dpeg.aggregate_windows(seq, cfg).data
+    got = dpeg.aggregate_windows(nc.Tensor(np.stack([v for _, v in values])), 5, cfg).data
     weights = np.array([1.0, 2.0, 1.0])  # peak at window center
     num = np.zeros((5, 2))
     den = np.zeros(5)
@@ -381,8 +405,8 @@ def test_aggregate_conservation(seed, mode):
     # constant per-position values across windows come back unchanged
     row = nc.Rng(seed).normals(3)
     vals = np.tile(row, (2, 1))
-    seq = _manual_sequence(4, [(0, vals), (1, vals), (2, vals)])
-    out = dpeg.aggregate_windows(seq, dpeg.WindowConfig(w=2, s=1, mode=mode)).data
+    cfg = dpeg.WindowConfig(w=2, s=1, mode=mode)
+    out = dpeg.aggregate_windows(nc.Tensor(np.stack([vals] * 3)), 4, cfg).data
     assert np.allclose(out, np.tile(row, (4, 1)), atol=1e-12)
 
 
@@ -462,7 +486,7 @@ def test_dpeg_gradients_match_finite_differences():
     def through_inputs(x):
         return (_run(model, x, frames, pairs, prior) * readout).sum()
 
-    assert nc.finite_diff_check(through_inputs, nc.Tensor(feats)) < 1e-4
+    assert finite_diff_check(through_inputs, nc.Tensor(feats)) < 1e-4
 
     x_fixed = nc.Tensor(feats)
 
@@ -474,14 +498,27 @@ def test_dpeg_gradients_match_finite_differences():
         finally:
             model.fusion.w = saved
 
-    assert nc.finite_diff_check(through_fusion_weight, model.fusion.w) < 1e-4
+    assert finite_diff_check(through_fusion_weight, model.fusion.w) < 1e-4
 
 
-def test_dpeg_batched_path_matches_per_group_composition():
-    # rectangular clips take a batched route; rebuild the same output from
-    # the public per-frame and per-pair pieces
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(50), window=dpeg.WindowConfig(w=2, s=1))
-    feats, frames, pairs = _toy_clip(nc.Rng(51))
+RAGGED_ROWS = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (5, 2), (2, 2),
+               (3, 2), (4, 2), (6, 2), (7, 2), (4, 0)]
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "ragged"])
+@pytest.mark.parametrize("w,s,mode", [(2, 1, "average"), (3, 2, "triangular"),
+                                      (4, 4, "average")])
+def test_dpeg_batched_path_matches_per_group_composition(shape, w, s, mode):
+    # rebuild the generator's output from per-frame encoders and the
+    # per-window oracle over each pair track, tracks of unequal lengths
+    # included in the ragged clip
+    model = dpeg.Dpeg(6, 2, 4, nc.Rng(50), window=dpeg.WindowConfig(w, s, mode))
+    if shape == "rectangular":
+        feats, frames, pairs = _toy_clip(nc.Rng(51))
+    else:
+        frames = np.array([f for f, _ in RAGGED_ROWS])
+        pairs = np.array([p for _, p in RAGGED_ROWS])
+        feats = nc.Rng(51).normals((len(RAGGED_ROWS), 6))
     prior = fg.compute_frequencies([8, 4, 2, 1])
     got = _run(model, nc.Tensor(feats), frames, pairs, prior).data
 
@@ -493,12 +530,68 @@ def test_dpeg_batched_path_matches_per_group_composition():
         tl = _tail_branch(x[idx], prior, model.freq_gate, model.tail_enc)
         z_rows[idx] = _fuse(h, tl, prior.f, model.fusion).data
     want = np.zeros_like(got)
+    glob = dpeg.stacked_encoder([model.global_enc])
     for p in np.unique(pairs):
         idx = np.flatnonzero(pairs == p)
-        seq = dpeg.encode_global(nc.Tensor(z_rows[idx]), frames[idx],
-                                 dpeg.stacked_encoder([model.global_enc]), model.window)
-        want[idx] = dpeg.aggregate_windows(seq, model.window).data
-    assert np.allclose(got, want, atol=1e-12)
+        idx = idx[np.argsort(frames[idx])]
+        windows = _windows_oracle(nc.Tensor(z_rows[idx]), frames[idx], glob, model.window)
+        want[idx] = _aggregate_oracle(windows, idx.size, model.window).data
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("w,s", [(1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (4, 4), (5, 3)])
+@pytest.mark.parametrize("mode", ["average", "triangular"])
+@pytest.mark.parametrize("length", [1, 2, 4, 7])
+def test_batched_windows_match_per_window_oracle(w, s, mode, length):
+    # the window axis against the per-window loop and per-window scatter:
+    # values and the gradients reaching the inputs and the encoder weights
+    cfg = dpeg.WindowConfig(w, s, mode)
+    enc = dpeg.BranchEncoder(4, 2, nc.Rng(60))
+    rng = nc.Rng(61)
+    z0 = rng.normals((2, 3, length, 4))              # (tasks, pairs, L, d)
+    readout = nc.Tensor(rng.normals((2, 3, length, 4)))
+    frames = 2 + 3 * np.arange(length)
+    results = []
+    for run in (_global, lambda z, f, e, c: _aggregate_oracle(
+            _windows_oracle(z, f, e, c), len(f), c)):
+        z = nc.Tensor(z0, requires_grad=True)
+        enc.zero_grad()
+        out = run(z, frames, dpeg.stacked_encoder([enc]), cfg)
+        (out * readout).sum().backward()
+        grads = {k: p.grad.copy() for k, p in enc.parameters().items()}
+        results.append((out.data, z.grad, grads))
+    (got, got_z, got_w), (want, want_z, want_w) = results
+    assert got.shape == want.shape == z0.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_z, want_z, rtol=0, atol=1e-12)
+    for key in want_w:
+        np.testing.assert_allclose(got_w[key], want_w[key], rtol=0, atol=1e-12)
+    if len(dpeg.window_starts(length, w, s)) == 1:
+        # one window: the same products in the same order, so the same bits
+        assert np.array_equal(got, want)
+
+
+def test_aggregate_rejects_values_of_another_window_layout():
+    cfg = dpeg.WindowConfig(w=2, s=1)
+    with pytest.raises(ContractError):
+        dpeg.aggregate_windows(nc.Tensor(np.zeros((2, 2, 3))), 4, cfg)  # 4 needs 3 windows
+
+
+def test_clip_keys_keep_clips_apart():
+    # two clips over the same frames and pair ids, run as one layout, give
+    # each clip's rows of its own run bit for bit: no attention or window
+    # crosses the clip key, though their frames and tracks stack into blocks
+    model = dpeg.Dpeg(6, 2, 4, nc.Rng(62), window=dpeg.WindowConfig(w=2, s=1))
+    prior = fg.compute_frequencies([8, 4, 2, 1])
+    feats_a, frames, pairs = _toy_clip(nc.Rng(63))
+    feats_b = nc.Rng(64).normals(feats_a.shape)
+    alone = [_run(model, f, frames, pairs, prior).data for f in (feats_a, feats_b)]
+    feats = np.concatenate([feats_a, feats_b])
+    keys = np.repeat([0, 1], len(frames))
+    layout = dpeg.clip_layout(np.tile(frames, 2), np.tile(pairs, 2), keys)
+    assert len(layout.local) == 1 and len(layout.tracks) == 1
+    packed = dpeg.encode_stacked([model], nc.Tensor(feats[None]), layout, [prior]).data[0]
+    assert np.array_equal(packed, np.concatenate(alone))
 
 
 def test_dpeg_handles_ragged_clips():

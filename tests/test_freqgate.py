@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fremure import freqgate as fg
 from fremure import numcore as nc
 from fremure.errors import ContractError
+from gradcheck import finite_diff_check
 
 # ---------------------------------------------------------------------------
 # compute_frequencies
@@ -188,7 +189,7 @@ def test_gate_and_correction_gradients_match_fd():
         return (corrected * readout).sum()
 
     w0 = nc.Tensor(rng.normals((3, 6)) * 0.1)
-    assert nc.finite_diff_check(through_weights, w0) < 1e-4
+    assert finite_diff_check(through_weights, w0) < 1e-4
 
     gate = fg.FrequencyGate(3, 6, nc.Rng(4))
 
@@ -196,4 +197,4 @@ def test_gate_and_correction_gradients_match_fd():
         corrected = fg.frequency_correct(x, _gate(prior, gate))
         return (corrected * readout).sum()
 
-    assert nc.finite_diff_check(through_inputs, nc.Tensor(rng.normals((5, 6)))) < 1e-4
+    assert finite_diff_check(through_inputs, nc.Tensor(rng.normals((5, 6)))) < 1e-4

@@ -12,6 +12,7 @@ from fremure import numcore as nc
 from fremure.errors import ContractError
 from fremure.freqgate import compute_frequencies
 from fremure.model import loss_attention, loss_multilabel_bce
+from gradcheck import finite_diff_check
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -189,7 +190,7 @@ def test_bayesian_reparameterized_gradients_match_fd():
         finally:
             head.mu.w = saved
 
-    assert nc.finite_diff_check(through_mu_weights, head.mu.w) < 1e-4
+    assert finite_diff_check(through_mu_weights, head.mu.w) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def test_gmm_gradients_match_fd():
             setattr(head, attr, saved)
 
     for attr in ("means", "rho", "mix", "bias"):
-        err = nc.finite_diff_check(lambda val: swap_and_eval(attr, val), getattr(head, attr))
+        err = finite_diff_check(lambda val: swap_and_eval(attr, val), getattr(head, attr))
         assert err < 1e-4, f"{attr}: {err}"
 
 

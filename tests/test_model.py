@@ -1,6 +1,7 @@
 """Model assembly: loss operations, task isolation, gradient conflict,
 training determinism, and checkpoints."""
 
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from fremure import numcore as nc
 from fremure import model as M
 from fremure.data_metrics import SyntheticConfig, TripletRecord, generate_dataset, group_clips
 from fremure.errors import ContractError, NumericalError
+from gradcheck import backward_visiting_everything, finite_diff_check, finite_diff_model
 
 # mpmath, 40 digits
 CE_123_T0 = 2.4076059644443803   # -log softmax([1,2,3])[0]
@@ -64,7 +66,7 @@ class TestLossOps:
 
     def test_attention_loss_gradient(self):
         x = nc.Tensor(nc.Rng(3).normals(5))
-        err = nc.finite_diff_check(lambda t: M.loss_attention(t, 2), x)
+        err = finite_diff_check(lambda t: M.loss_attention(t, 2), x)
         assert err < 1e-6
 
     def test_bce_matches_direct_sigmoid_formula(self):
@@ -93,7 +95,7 @@ class TestLossOps:
     def test_bce_gradient(self):
         y = np.array([1.0, 0.0, 1.0, 1.0])
         x = nc.Tensor(nc.Rng(5).normals(4))
-        err = nc.finite_diff_check(lambda t: M.loss_multilabel_bce(t, y), x)
+        err = finite_diff_check(lambda t: M.loss_multilabel_bce(t, y), x)
         assert err < 1e-6
 
     def test_margin_hand_case(self):
@@ -115,7 +117,7 @@ class TestLossOps:
         # all hinges strictly active, away from the kink
         x = nc.Tensor(np.array([[0.3, 0.1, 0.4, 0.2]]))
         bits = np.array([[1.0, 0.0, 1.0, 0.0]])
-        err = nc.finite_diff_check(lambda t: M._margin_rows(t, bits), x)
+        err = finite_diff_check(lambda t: M._margin_rows(t, bits), x)
         assert err < 1e-6
 
     def test_batched_single_label_loss_equals_rowwise(self):
@@ -532,7 +534,7 @@ class TestLossAssemblyAndGradients:
             total, _ = model.total_loss(clip, nc.Rng(9), training=True)
             return total
 
-        assert M.finite_diff_model(model, loss) < 1e-4
+        assert finite_diff_model(model, loss) < 1e-4
 
 
 class TestTraining:
@@ -580,6 +582,132 @@ class TestTraining:
                           7, val_records=test)
         assert {"epoch", "L_a", "L_s", "L_c", "reg", "mR@5", "mR@10",
                 "R@5", "R@10"} == set(hist[0])
+
+
+# sha256 of every parameter's bytes after 20 Adam steps at a one-window
+# config, taken with the tape that visited constants and stored a gradient on
+# every node (numpy 2.4, x86-64; another BLAS may round differently)
+TWENTY_STEPS = {
+    "gmm_plus": "617f2e79bdc6192ff9f7c2aa8c8b4ad40ba5030b603e8a60ca7ffbe03d95cf89",
+    "bayesian": "bf343c44a67778c81d8b6d491745eea8a2bf9118e959bceca0a32fc526090f94",
+}
+
+
+class TestLeanTape:
+    @staticmethod
+    def _twenty_steps(head, backward):
+        cfg = _small_cfg(window_w=4, window_s=2, flags=M.AblationFlags(head=head))
+        model = M.FremureModel(cfg, nc.Rng(3))     # 3 frames: one window per track
+        opt = nc.Adam(model.parameters(), lr=1e-2)
+        clips = [_clip(nc.Rng(10 + i), clip_id=i) for i in range(4)]
+        for step in range(20):
+            opt.zero_grad()
+            total, _ = model.total_loss(clips[step % 4], nc.Rng(100 + step), training=True)
+            backward(total)
+            opt.step()
+        return model
+
+    @pytest.mark.parametrize("head", sorted(TWENTY_STEPS))
+    def test_twenty_adam_steps_keep_their_bits(self, head):
+        lean = self._twenty_steps(head, nc.Tensor.backward)
+        full = self._twenty_steps(head, backward_visiting_everything)
+        for (key, p), q in zip(lean.parameters().items(), full.parameters().values()):
+            assert np.array_equal(p.data, q.data), key
+        digest = hashlib.sha256(b"".join(p.data.tobytes()
+                                         for p in lean.parameters().values()))
+        assert digest.hexdigest() == TWENTY_STEPS[head]
+
+    def test_only_parameters_keep_gradients(self):
+        model = M.FremureModel(_small_cfg(), nc.Rng(0))
+        total, _ = model.total_loss(_clip(nc.Rng(1)), nc.Rng(2), training=True)
+        total.backward()
+        params = {id(p) for p in model.parameters().values()}
+        stack, seen = [total], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert (node.grad is not None) == (id(node) in params)
+            stack.extend(node._parents)
+
+
+class TestPackedScoring:
+    """``predict_clips`` scores packs of clips in one forward each; every
+    score and uncertainty value must equal that of the clip's own forward."""
+
+    @staticmethod
+    def _ragged_clips():
+        clips = [_clip(nc.Rng(20), n_frames=3, n_pairs=2, clip_id=0),
+                 _clip(nc.Rng(21), n_frames=2, n_pairs=3, clip_id=1),
+                 _clip(nc.Rng(22), n_frames=4, n_pairs=2, clip_id=2)]
+        # clip 3 is ragged inside: pair 2 misses frame 0, frames start at 5
+        ragged = [r for r in _clip(nc.Rng(23), n_frames=3, n_pairs=3, clip_id=3)
+                  if (r.frame, r.subj) != (0, 2)]
+        clips.append([TripletRecord(r.clip, r.frame + 5, r.subj, r.obj, r.feat,
+                                    r.attn, r.spat, r.cont) for r in ragged])
+        clips.append(_clip(nc.Rng(24), n_frames=3, n_pairs=2, clip_id=4))
+        return clips
+
+    @staticmethod
+    def _alone(model, clips, seed):
+        rng = nc.Rng(seed)
+        scores, uncertainty = [], {}
+        with nc.no_grad():
+            for ci, clip in enumerate(clips):
+                out = model.forward(clip, rng.spawn(ci), training=False)
+                scores.append(np.concatenate([out["probs"][t].data for t in M.TYPES],
+                                             axis=1))
+                for t in M.TYPES:
+                    report = out["reports"][t]
+                    uncertainty.setdefault(f"{t}_aleatoric", []).extend(
+                        report.aleatoric_rows.tolist())
+                    uncertainty.setdefault(f"{t}_epistemic", []).extend(
+                        report.epistemic_rows.tolist())
+        return np.concatenate(scores).ravel(), uncertainty
+
+    @pytest.mark.parametrize("head", M.HEAD_KINDS)
+    @pytest.mark.parametrize("cap", [1, 16, M.PACK_RECORDS])
+    def test_packs_score_as_each_clip_alone(self, head, cap, monkeypatch):
+        # clips of 6, 6, 8, 8 and 6 records: cap 16 packs (0, 1), (2, 3)
+        # and (4); cap 1 scores every clip alone; the default packs all five
+        model = M.FremureModel(_small_cfg(flags=M.AblationFlags(head=head)), nc.Rng(8))
+        clips = self._ragged_clips()
+        monkeypatch.setattr(M, "PACK_RECORDS", cap)
+        packs = M._packs(clips, cap)
+        assert sum(packs, []) == list(range(len(clips)))
+        if cap == 16:
+            assert packs == [[0, 1], [2, 3], [4]]
+        pred = M.predict_clips(model, clips, nc.Rng(9))
+        scores, uncertainty = self._alone(model, clips, 9)
+        assert np.array_equal(pred.scores, scores)
+        assert pred.uncertainty == uncertainty
+
+    def test_one_row_blocks_round_alike(self):
+        # a clip whose frames hold one pair each multiplies one-row matrices
+        # alone; in a pack those rows join a larger block, which BLAS may
+        # round differently in the last bit, and no further
+        model = M.FremureModel(_small_cfg(flags=M.AblationFlags(head="bayesian")),
+                               nc.Rng(8))
+        clips = [_clip(nc.Rng(30), n_frames=4, n_pairs=1, clip_id=0),
+                 _clip(nc.Rng(31), n_frames=1, n_pairs=1, clip_id=1),
+                 _clip(nc.Rng(32), n_frames=3, n_pairs=2, clip_id=2)]
+        pred = M.predict_clips(model, clips, nc.Rng(9))
+        scores, uncertainty = self._alone(model, clips, 9)
+        np.testing.assert_allclose(pred.scores, scores, rtol=1e-14, atol=0)
+        for name, rows in uncertainty.items():
+            np.testing.assert_allclose(pred.uncertainty[name], rows, rtol=1e-13, atol=1e-300)
+
+    def test_pack_needs_one_rng_per_clip(self):
+        model = M.FremureModel(_small_cfg(), nc.Rng(0))
+        pack = _clip(nc.Rng(1), clip_id=0) + _clip(nc.Rng(2), clip_id=1)
+        with pytest.raises(ContractError):
+            model.forward(pack, [nc.Rng(3)])
+        with pytest.raises(ContractError):
+            model.forward(pack, nc.Rng(3))
+        with pytest.raises(ContractError):
+            model.forward(pack, [nc.Rng(3), nc.Rng(4)], training=True)
+        assert model.forward(pack, [nc.Rng(3), nc.Rng(4)])["probs"]["attn"].shape == (12, 2)
 
 
 class TestEvalAndCheckpoint:

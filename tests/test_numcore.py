@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fremure import numcore as nc
 from fremure.errors import ContractError
+from gradcheck import finite_diff_check
 
 # ---------------------------------------------------------------------------
 # layer_norm
@@ -190,7 +191,7 @@ def test_backward_two_layer_gated_network_matches_fd():
         return (mixed @ w3).sum()
 
     x0 = nc.Tensor(rng.normals((3, 5)))
-    assert nc.finite_diff_check(net, x0) < 1e-4
+    assert finite_diff_check(net, x0) < 1e-4
     # and with respect to a weight, holding the input fixed
     x_fixed = nc.Tensor(rng.normals((3, 5)))
 
@@ -200,7 +201,43 @@ def test_backward_two_layer_gated_network_matches_fd():
         mixed = gate * (h @ w2) + (1.0 - gate) * h
         return (mixed @ w3).sum()
 
-    assert nc.finite_diff_check(by_weight, w1) < 1e-4
+    assert finite_diff_check(by_weight, w1) < 1e-4
+
+
+def test_backward_stores_grad_on_leaves_only():
+    w = nc.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    x = nc.Tensor([[2.0, 1.0]])
+    hidden = nc.relu(x @ w)
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    assert np.array_equal(w.grad, [[10.0, 0.0], [5.0, 0.0]])
+    assert hidden.grad is None and loss.grad is None and x.grad is None
+
+
+def test_backward_never_visits_constants():
+    # a constant that (against the rules) carries a backward and a parent
+    # would pass a gradient on if the traversal reached it
+    leaf = nc.Tensor([1.0, 2.0], requires_grad=True)
+    hidden_leaf = nc.Tensor([5.0, 5.0], requires_grad=True)
+    calls = []
+    const = nc.Tensor([3.0, 4.0])
+    const._parents = (hidden_leaf,)
+    const._backward = lambda g: calls.append(g) or (g,)
+    (leaf * const).sum().backward()
+    assert np.array_equal(leaf.grad, [3.0, 4.0])
+    assert calls == [] and hidden_leaf.grad is None and const.grad is None
+
+
+@pytest.mark.parametrize("index", [(slice(None), slice(1, 3)), (1,), (Ellipsis, None, 0),
+                                   (np.array([0, 2, 0]),), (slice(None), np.array([[1, 1], [0, 3]]))])
+def test_getitem_backward_matches_accumulation(index):
+    # basic indices assign the gradient, index arrays accumulate repeats
+    a = nc.Tensor(nc.Rng(12).normals((3, 4)), requires_grad=True)
+    g = nc.Rng(13).normals(a.data[index].shape)
+    (a[index] * nc.Tensor(g)).sum().backward()
+    want = np.zeros((3, 4))
+    np.add.at(want, index, g)
+    assert np.array_equal(a.grad, want)
 
 
 def test_no_grad_suppresses_tape():
@@ -216,18 +253,18 @@ def test_no_grad_suppresses_tape():
 
 
 def test_finite_diff_polynomial_is_nearly_exact():
-    err = nc.finite_diff_check(lambda x: (x * x).sum(), nc.Tensor([1.0, 2.0]))
+    err = finite_diff_check(lambda x: (x * x).sum(), nc.Tensor([1.0, 2.0]))
     assert err < 1e-8
 
 
 def test_finite_diff_constant_function_zero_error():
-    err = nc.finite_diff_check(lambda x: (x * 0.0).sum(), nc.Tensor([1.0, 2.0, 3.0]))
+    err = finite_diff_check(lambda x: (x * 0.0).sum(), nc.Tensor([1.0, 2.0, 3.0]))
     assert err == 0.0
 
 
 def test_finite_diff_rejects_vector_valued_f():
     with pytest.raises(ContractError):
-        nc.finite_diff_check(lambda x: x * 2.0, nc.Tensor([1.0, 2.0]))
+        finite_diff_check(lambda x: x * 2.0, nc.Tensor([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +272,10 @@ def test_finite_diff_rejects_vector_valued_f():
 # ---------------------------------------------------------------------------
 
 
-def _fd_case(builder, shape, seed):
+def _fd_case(fn, shape, seed):
     rng = nc.Rng(seed)
     x0 = nc.Tensor(rng.normals(shape))
-    return nc.finite_diff_check(builder, x0)
+    return finite_diff_check(fn, x0)
 
 
 def test_gradients_of_each_primitive():
@@ -267,8 +304,8 @@ def test_gradients_of_each_primitive():
             (2, 4),
         ),
     }
-    for seed, (name, (builder, shape)) in enumerate(checks.items()):
-        err = _fd_case(builder, shape, 100 + seed)
+    for seed, (name, (fn, shape)) in enumerate(checks.items()):
+        err = _fd_case(fn, shape, 100 + seed)
         assert err < 1e-4, f"{name}: fd error {err}"
 
 
@@ -343,9 +380,9 @@ def test_affine_task_stack_matches_per_task_layers():
     w = nc.Tensor(rng.normals((3, 5, 6)))
     b = nc.Tensor(rng.normals((3, 6)))
     mix = nc.Tensor(rng.normals((3, 2, 4, 6)))
-    assert nc.finite_diff_check(lambda v: (nc.affine(v, w, b) * mix).sum(), x) < 1e-6
-    assert nc.finite_diff_check(lambda v: (nc.affine(x, v, b) * mix).sum(), w) < 1e-6
-    assert nc.finite_diff_check(lambda v: (nc.affine(x, w, v) * mix).sum(), b) < 1e-6
+    assert finite_diff_check(lambda v: (nc.affine(v, w, b) * mix).sum(), x) < 1e-6
+    assert finite_diff_check(lambda v: (nc.affine(x, v, b) * mix).sum(), w) < 1e-6
+    assert finite_diff_check(lambda v: (nc.affine(x, w, v) * mix).sum(), b) < 1e-6
 
 
 def test_fused_ops_reject_bad_shapes():
@@ -394,8 +431,8 @@ def test_fused_ops_gradients_match_fd():
         "ln_residual_r": (lambda r: (nc.layer_norm(resid, residual=r) * ln_mix).sum(),
                           nc.Tensor(rng.normals((3, 4)))),
     }
-    for name, (builder, x0) in cases.items():
-        err = nc.finite_diff_check(builder, x0)
+    for name, (fn, x0) in cases.items():
+        err = finite_diff_check(fn, x0)
         assert err < 1e-4, f"{name}: fd error {err}"
 
 
@@ -558,6 +595,15 @@ def test_spawn_gives_distinct_deterministic_children():
     assert c0.seed != c1.seed != parent.seed
     assert c0.seed == nc.Rng(7).spawn(0).seed
     assert not np.array_equal(c0.uniforms(16), c1.uniforms(16))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 987654321, 2**63, 2**64 - 2, 2**64 - 1])
+def test_spawn_matches_mix64_of_the_documented_child_seed(seed):
+    # spawn runs SplitMix64 on Python ints; the child seed must stay
+    # mix64(seed + (key + 1) * GOLDEN) as the numpy finalizer computes it
+    for key in (0, 1, 2, 5, 31, 1000, 10_000, 2**32):
+        want = int(nc._mix64((seed + (key + 1) * GOLDEN) & MASK)[0])
+        assert nc.Rng(seed).spawn(key).seed == want, (seed, key)
 
 
 def test_categorical_respects_support():

@@ -70,6 +70,32 @@ def test_traced_head_calls_are_seen():
     assert tracer.count("model.forward") == 2
 
 
+def test_traced_eval_counts_forwards_and_ops(tmp_path):
+    # the per-layer eval metrics divide by FremureModel.forward calls and
+    # count numcore ops inside them, so scoring must keep going through both
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("data.clips = 4\ndata.test_clips = 3\ndata.frames = 3\n"
+                   "data.pairs = 2\nmodel.d = 8\nmodel.h = 2\ntrain.epochs = 1\n")
+    run = str(tmp_path / "run")
+    for command in ("gen-data", "train"):
+        assert fremure.cli.main([command, "--config", str(cfg), "--out", run]) == 0
+    tracer = _tracing().Tracer(training=False).install(fremure)
+    try:
+        code = fremure.cli.main(["eval", "--checkpoint", f"{run}/checkpoint.json",
+                                 "--data", f"{run}/test.jsonl",
+                                 "--out", str(tmp_path / "eval")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert tracer.count("model.forward") > 0
+    assert tracer.clips_scored == 3
+    for name in ("numcore.op_calls_per_step", "numcore.affine.calls_per_step",
+                 "numcore.attention.calls_per_step", "model.forward_ms_per_step",
+                 "dpeg.encode_global_ms_per_forward", "model.predict_clips_ms_per_clip"):
+        assert metrics[name] > 0, name
+
+
 @pytest.mark.parametrize("head", M.HEAD_KINDS)
 @pytest.mark.parametrize("scale", [1.0, 300.0])
 def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
@@ -94,8 +120,9 @@ def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
 
 
 def _definitions(paths) -> dict:
-    """name -> {(path, line)} of every module-level function and class and
-    every method, dunder methods aside (the language calls those)."""
+    """name -> {(path, first line, last line)} of every module-level function
+    and class and every method, dunder methods aside (the language calls
+    those)."""
     out = {}
     for path in paths:
         for node in ast.parse(path.read_text()).body:
@@ -105,13 +132,16 @@ def _definitions(paths) -> dict:
             for item in members:
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and \
                         not re.fullmatch(r"__\w+__", item.name):
-                    out.setdefault(item.name, set()).add((path, item.lineno))
+                    out.setdefault(item.name, set()).add(
+                        (path, item.lineno, item.end_lineno))
     return out
 
 
 def test_every_program_name_is_used_outside_the_tests():
-    # a name counts as used when it appears as a whole word on any line of
-    # the program or the benchmark other than one that defines it
+    # a name counts as used when it appears as a whole word on a line of the
+    # program or the benchmark outside the body of every definition of that
+    # name: a function that only names itself (a recursive call, its own
+    # error message) is not used
     src = sorted((ROOT / "src" / "fremure").glob("*.py"))
     lines = [(path, i, line) for path in src + sorted((ROOT / "bench").glob("*.py"))
              for i, line in enumerate(path.read_text().splitlines(), start=1)]
@@ -119,6 +149,6 @@ def test_every_program_name_is_used_outside_the_tests():
     for name, sites in sorted(_definitions(src).items()):
         word = re.compile(rf"\b{name}\b")
         if not any(word.search(line) for path, i, line in lines
-                   if (path, i) not in sites):
+                   if not any(path == p and lo <= i <= hi for p, lo, hi in sites)):
             unused.append(name)
     assert unused == []
