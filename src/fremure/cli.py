@@ -24,14 +24,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import numcore as nc
-from .data_metrics import (SyntheticConfig, generate_dataset, group_clips,
-                           read_jsonl, write_jsonl,
-                           frequency_stratified_report)
+from .data_metrics import (SyntheticConfig, generate_dataset, read_jsonl,
+                           write_jsonl, frequency_stratified_report)
+# the benchmark's tracer (bench/tracing.py) wraps this name in this module
+from .data_metrics import group_clips  # noqa: F401
 from .errors import ConfigError, ContractError, NumericalError
 from .freqgate import compute_frequencies
 from .model import (TYPES, AblationFlags, FremureModel, ModelConfig,
-                    TrainConfig, checkpoint_dict, evaluate, grad_conflict,
-                    model_from_checkpoint, train)
+                    TrainConfig, checkpoint_dict, clip_split, evaluate,
+                    grad_conflict, model_from_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -243,32 +244,17 @@ def _require_files(*paths):
             raise FileNotFoundError(f"missing dataset file: {p}")
 
 
-def _load_checkpoint(path: str) -> dict:
+def _load_model(path: str) -> FremureModel:
+    """The model of the checkpoint file ``path``; a ContractError names it."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:
             raise ContractError(f"checkpoint {path} is not valid JSON: {exc}")
-
-
-def _check_compat(records, mcfg: ModelConfig):
-    """Dataset and model must agree on feature and label layout."""
-    if not records:
-        raise ContractError("dataset contains no records")
-    first = records[0]
-    if len(first.feat) != mcfg.raw_dim:
-        raise ContractError(f"dataset feature dim {len(first.feat)} != "
-                            f"model raw_dim {mcfg.raw_dim}")
-    if len(first.spat) != mcfg.spat_classes:
-        raise ContractError(f"dataset spat width {len(first.spat)} != "
-                            f"model spat_classes {mcfg.spat_classes}")
-    if len(first.cont) != mcfg.cont_classes:
-        raise ContractError(f"dataset cont width {len(first.cont)} != "
-                            f"model cont_classes {mcfg.cont_classes}")
-    worst = max(rec.attn for rec in records)
-    if worst >= mcfg.attn_classes:
-        raise ContractError(f"dataset attention label {worst} outside "
-                            f"model range [0, {mcfg.attn_classes})")
+    try:
+        return model_from_checkpoint(doc)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
 
 
 def _mr_table(scores: dict, ks) -> str:
@@ -308,7 +294,6 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
     _require_files(train_path, test_path)
     records = read_jsonl(train_path)
     test_records = read_jsonl(test_path)
-    _check_compat(records, exp.model)
 
     tcfg = replace(exp.train, ks=args.k, constraint=args.constraint)
     model, history = train(records, exp.model, tcfg, exp.seed,
@@ -339,32 +324,21 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _uncertainty_rows(clips, uncertainty: dict) -> list:
-    """Per-record aleatoric/epistemic numbers for each task head, from the
-    values `evaluate` kept for the records of `clips` in order."""
-    rows = []
-    records = (rec for clip in clips for rec in clip)
-    for i, rec in enumerate(records):
-        row = {"clip": rec.clip, "frame": rec.frame,
-               "subj": rec.subj, "obj": rec.obj}
-        for t in TYPES:
-            row[f"{t}_aleatoric"] = uncertainty[f"{t}_aleatoric"][i]
-            row[f"{t}_epistemic"] = uncertainty[f"{t}_epistemic"][i]
-        rows.append(row)
-    return rows
+def _uncertainty_rows(samples: dict) -> list:
+    """One row per record of the ids and aleatoric/epistemic numbers of
+    each task head that `evaluate` kept as columns."""
+    return [dict(zip(samples, values)) for values in zip(*samples.values())]
 
 
 def cmd_eval(args) -> int:
-    model = model_from_checkpoint(_load_checkpoint(args.checkpoint))
+    model = _load_model(args.checkpoint)
     records = read_jsonl(args.data)
-    _check_compat(records, model.cfg)
-    _ensure_outdir(args.out)
-
     scores = evaluate(model, records, args.k, args.constraint, seed=args.seed)
+    _ensure_outdir(args.out)
     # encoded before any file is written, so a non-finite value leaves none
     samples_path = os.path.join(args.out, "eval_samples.jsonl")
-    samples = [_canonical(row, samples_path) + "\n" for row in
-               _uncertainty_rows(group_clips(records), scores["uncertainty"])]
+    samples = [_canonical(row, samples_path) + "\n"
+               for row in _uncertainty_rows(scores["samples"])]
     strata = {k: frequency_stratified_report(scores["per_class"][k],
                                              model.global_prior)
               for k in args.k}
@@ -498,22 +472,21 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
     records = read_jsonl(data_path)
 
     if args.checkpoint:
-        model = model_from_checkpoint(_load_checkpoint(args.checkpoint))
+        model = _load_model(args.checkpoint)
     else:
         mcfg = exp.model
         if args.shared:
             mcfg = replace(mcfg, flags=replace(mcfg.flags, decouple=False))
         model = FremureModel(mcfg, nc.Rng(exp.seed).spawn(0))
-    _check_compat(records, model.cfg)
-
-    clips = group_clips(records)
+    split = clip_split(records, model.cfg)
     opt = nc.Adam(model.parameters(), exp.train.lr, exp.train.beta1,
                   exp.train.beta2, exp.train.eps)
     root = nc.Rng(exp.seed)
     rows = []
     negative = 0
     for step in range(1, args.steps + 1):
-        clip = clips[(step - 1) % len(clips)]
+        ci = (step - 1) % len(split)
+        clip = split.view(ci, ci + 1)
         report = grad_conflict(model, clip, root.spawn(step))
         doc = {"step": step}
         doc.update(report.to_json())

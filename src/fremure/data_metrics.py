@@ -34,6 +34,13 @@ uniforms, walks those lengths once for the records' offsets, and gathers
 labels and features at the offsets; the bytes are those of drawing each
 record in turn.
 
+Records on disk are JSONL, one object a line, under the contract that
+``read_jsonl`` documents and checks one field at a time over the whole
+file. In the program a split is a ``Split``: the records' fields as row
+columns, each clip's rows contiguous. ``Split.of`` builds one, and is the
+one place where records are checked against a model's feature width, class
+counts and attention range.
+
 Evaluation ranks (pair, predicate) entries per frame by score with
 deterministic tie-breaking, once for every K, and reports R@K, per-class
 recall, mR@K, and head/tail bucket summaries. Ground-truth pairs are given
@@ -44,7 +51,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -122,11 +131,8 @@ class TripletRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TripletRecord":
-        return cls(clip=int(doc["clip"]), frame=int(doc["frame"]),
-                   subj=int(doc["subj"]), obj=int(doc["obj"]),
-                   feat=np.asarray(doc["feat"], dtype=np.float64),
-                   attn=int(doc["attn"]), spat=[int(b) for b in doc["spat"]],
-                   cont=[int(b) for b in doc["cont"]])
+        """The record of one JSON object, under `read_jsonl`'s contract."""
+        return _records_of([doc], lambda i: "record")[0]
 
 
 def write_jsonl(records, path):
@@ -136,20 +142,89 @@ def write_jsonl(records, path):
 
 
 def read_jsonl(path) -> list:
-    """Records of a JSONL file. A line that is not a well-formed record
-    raises ContractError naming the file and the 1-based line number."""
-    out = []
+    """Records of a JSONL file, one JSON object a line, blank lines aside.
+    Every line must be an object with these fields:
+
+    - clip, frame, subj, obj and attn: JSON integers (not bools, floats or
+      strings) in the 64-bit range, and frame >= 0;
+    - spat and cont: lists of 0/1 integers;
+    - feat: a list of finite JSON numbers, of one width in the file.
+
+    A breach raises ContractError naming the file, the 1-based line and the
+    field; so does a file without records."""
+    docs, lines = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(TripletRecord.from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+                docs.append(json.loads(line))
+            except ValueError as exc:
                 raise ContractError(f"{path}, line {lineno}: not a valid "
                                     f"record ({type(exc).__name__}: {exc})") from exc
-    return out
+            lines.append(lineno)
+    if not docs:
+        raise ContractError(f"{path}: no records")
+    return _records_of(docs, lambda i: f"{path}, line {lines[i]}")
+
+
+_FIELDS = ("clip", "frame", "subj", "obj", "feat", "attn", "spat", "cont")
+
+
+def _records_of(docs: list, where) -> list:
+    """Records of parsed JSON objects (at least one) under `read_jsonl`'s
+    contract, checked a field at a time over all of them; ``where(i)``
+    names object i in an error."""
+    def fail(i, problem):
+        raise ContractError(f"{where(i)}: {problem}")
+
+    def first(values, bad) -> int:
+        return next(i for i, v in enumerate(values) if bad(v))
+
+    for i, doc in enumerate(docs):
+        if type(doc) is not dict or not doc.keys() >= set(_FIELDS):
+            fail(i, f"not a valid record (an object with {', '.join(_FIELDS)})")
+    cols = {name: [doc[name] for doc in docs] for name in _FIELDS}
+    for name in ("clip", "frame", "subj", "obj", "attn"):
+        col = cols[name]
+        if set(map(type, col)) != {int}:
+            i = first(col, lambda v: type(v) is not int)
+            fail(i, f"'{name}' must be a JSON integer, got {col[i]!r}")
+        if np.array(col).dtype != np.int64:
+            fail(first(col, lambda v: not -2**63 <= v < 2**63),
+                 f"'{name}' is outside the 64-bit integer range")
+    if min(cols["frame"]) < 0:
+        i = first(cols["frame"], lambda v: v < 0)
+        fail(i, f"'frame' must be >= 0, got {cols['frame'][i]}")
+    for name in ("feat", "spat", "cont"):
+        col = cols[name]
+        if set(map(type, col)) != {list}:
+            fail(first(col, lambda v: type(v) is not list), f"'{name}' must be a list")
+        kinds = {int, float} if name == "feat" else {int}
+        if not set(map(type, chain.from_iterable(col))) <= kinds:
+            fail(first(col, lambda v: not set(map(type, v)) <= kinds),
+                 f"'{name}' must hold only JSON {'numbers' if name == 'feat' else 'integers'}")
+    for name in ("spat", "cont"):
+        if not set(chain.from_iterable(cols[name])) <= {0, 1}:
+            fail(first(cols[name], lambda v: not set(v) <= {0, 1}),
+                 f"'{name}' bits must be 0 or 1")
+    feats = cols["feat"]
+    width = len(feats[0])
+    if set(map(len, feats)) != {width}:
+        i = first(feats, lambda v: len(v) != width)
+        fail(i, f"'feat' has {len(feats[i])} values, not the {width} of the first record")
+    try:
+        feat = np.array(feats, dtype=np.float64).reshape(len(docs), width)
+        finite = bool(np.isfinite(feat).all())
+    except OverflowError:               # an integer past the float range
+        finite = False
+    if not finite:
+        fail(first(feats, lambda v: not all(abs(x) <= sys.float_info.max for x in v)),
+             "'feat' must hold only finite numbers")
+    return [TripletRecord(doc["clip"], doc["frame"], doc["subj"], doc["obj"], f,
+                          doc["attn"], doc["spat"], doc["cont"])
+            for doc, f in zip(docs, feat)]
 
 
 def group_clips(records) -> list:
@@ -161,6 +236,70 @@ def group_clips(records) -> list:
     for cid in sorted(byclip):
         clips.append(sorted(byclip[cid], key=lambda r: (r.frame, r.subj, r.obj)))
     return clips
+
+
+@dataclass(eq=False)
+class Split:
+    """Records as row columns, each clip's rows contiguous: clip i is rows
+    ``starts[i]:starts[i + 1]``. ``feat`` is (rows, raw_dim) and ``spat`` and
+    ``cont`` are (rows, classes) bits, as floats; the other columns are
+    (rows,) integers. ``len()`` is the number of clips."""
+    clip: np.ndarray
+    frame: np.ndarray
+    subj: np.ndarray
+    obj: np.ndarray
+    feat: np.ndarray
+    attn: np.ndarray
+    spat: np.ndarray
+    cont: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    def view(self, lo: int, hi: int) -> "Split":
+        """Clips lo to hi - 1, as slices of these columns."""
+        a, b = self.starts[lo], self.starts[hi]
+        return Split(*(getattr(self, f.name)[a:b] for f in fields(self)[:-1]),
+                     self.starts[lo:hi + 1] - a)
+
+    @classmethod
+    def of(cls, records, raw_dim: int, counts: dict) -> "Split":
+        """The columns of ``records``, in their order. This is where records
+        meet a model: a feature width other than ``raw_dim``, a label width
+        other than ``counts`` gives, an attention label outside [0,
+        counts["attn"]) or a clip whose records are not contiguous raises
+        ContractError naming the record and the field; so do no records."""
+        n = len(records)
+        if not n:
+            raise ContractError("no records")
+
+        def check(bad, problem):
+            """Raise for the first record where ``bad`` holds."""
+            if bad.any():
+                i = int(np.argmax(bad))
+                r = records[i]
+                raise ContractError(f"record (clip {r.clip}, frame {r.frame}, subj "
+                                    f"{r.subj}, obj {r.obj}): {problem(i)}")
+
+        widths = {"feat": raw_dim, "spat": counts["spat"], "cont": counts["cont"]}
+        for name, width in widths.items():
+            got = np.fromiter((len(getattr(r, name)) for r in records), np.int64, n)
+            check(got != width, lambda i: f"{name} has {got[i]} values, expected {width}")
+        ints = {name: np.fromiter((getattr(r, name) for r in records), np.int64, n)
+                for name in ("clip", "frame", "subj", "obj", "attn")}
+        attn, clip = ints["attn"], ints["clip"]
+        check((attn < 0) | (attn >= counts["attn"]),
+              lambda i: f"attn {attn[i]} outside [0, {counts['attn']})")
+        starts = np.flatnonzero(np.r_[True, clip[1:] != clip[:-1]])
+        # a clip id that starts a second run of rows has records elsewhere
+        resumed = np.zeros(n, dtype=bool)
+        resumed[starts] = True
+        resumed[starts[np.unique(clip[starts], return_index=True)[1]]] = False
+        check(resumed, lambda i: f"clip {clip[i]} resumes after other clips' records")
+        rows = {name: np.array([getattr(r, name) for r in records], np.float64
+                               ).reshape(n, width) for name, width in widths.items()}
+        return cls(starts=np.append(starts, n), **ints, **rows)
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +390,12 @@ def _generate_split(cfg: SyntheticConfig, n_clips: int, clip_base: int,
                                        spat_bits, cont_bits)]
 
 
-def label_counts(records, cfg) -> dict:
-    """Per-task label counts of `records`. `cfg` is any config with
-    `attn_classes`, `spat_classes` and `cont_classes` (a `SyntheticConfig`
-    or a `ModelConfig`)."""
-    n = len(records)
-    attn = np.fromiter((rec.attn for rec in records), dtype=np.int64, count=n)
-    if n and (attn.min() < 0 or attn.max() >= cfg.attn_classes):
-        raise ContractError(f"attention label outside [0, {cfg.attn_classes})")
-    try:
-        spat = np.array([rec.spat for rec in records], dtype=np.float64)
-        cont = np.array([rec.cont for rec in records], dtype=np.float64)
-        spat, cont = spat.reshape(n, cfg.spat_classes), cont.reshape(n, cfg.cont_classes)
-    except ValueError:
-        raise ContractError(f"spatial and contact labels must be {cfg.spat_classes} "
-                            f"and {cfg.cont_classes} wide in every record")
+def label_counts(split: Split, cfg) -> dict:
+    """Per-task label counts of a split. `cfg` is any config with
+    `attn_classes` (a `SyntheticConfig` or a `ModelConfig`)."""
     # integer-valued sums, so exact in any order
-    return {"attn": np.bincount(attn, minlength=cfg.attn_classes).astype(np.float64),
-            "spat": spat.sum(axis=0), "cont": cont.sum(axis=0)}
+    return {"attn": np.bincount(split.attn, minlength=cfg.attn_classes).astype(np.float64),
+            "spat": split.spat.sum(axis=0), "cont": split.cont.sum(axis=0)}
 
 
 def generate_dataset(cfg: SyntheticConfig, seed: int):
@@ -280,7 +407,7 @@ def generate_dataset(cfg: SyntheticConfig, seed: int):
               for t, c in cfg.class_counts().items()}
     train = _generate_split(cfg, cfg.clips, 0, protos, root.spawn(1))
     test = _generate_split(cfg, cfg.test_clips, cfg.clips, protos, root.spawn(2))
-    return train, test, label_counts(train, cfg)
+    return train, test, label_counts(Split.of(train, cfg.d, cfg.class_counts()), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,12 @@ MODES = ("single", "multi")
 
 @dataclass
 class UncertaintyReport:
-    """aleatoric: mean predicted variance; epistemic: entropy of the mean
-    prediction (nats). Multi-label entropy is the mean per-class Bernoulli
-    entropy, single-label the categorical entropy (at most log C). The rows
-    arrays hold the per-sample values behind the two aggregates."""
-    aleatoric: float
-    epistemic: float
-    aleatoric_rows: np.ndarray | None = None
-    epistemic_rows: np.ndarray | None = None
+    """Per-sample uncertainty. aleatoric_rows: predicted variance;
+    epistemic_rows: entropy of the mean prediction (nats). Multi-label
+    entropy is the mean per-class Bernoulli entropy, single-label the
+    categorical entropy (at most log C)."""
+    aleatoric_rows: np.ndarray
+    epistemic_rows: np.ndarray
 
 
 def _check_mode(mode: str):
@@ -82,7 +80,7 @@ class Head(nc.Module):
         logits, variance = self.logits_and_variance(z, rng, training)
         ent = entropy_rows(logits.data, self.mode)
         ale = np.full(ent.shape, variance, dtype=np.float64)
-        report = UncertaintyReport(float(ale.mean()), float(ent.mean()), ale, ent)
+        report = UncertaintyReport(ale, ent)
         return logits, _activate(logits, self.mode), report
 
 

@@ -1,9 +1,14 @@
 """Three-task relation model, its losses, and the training loop.
 
-A clip is a list of pair records sharing one clip id. Each record carries a
-raw feature vector plus one attention label and multi-hot spatial and contact
-labels. The model projects features, refines them with the dual-branch
-pair-encoding stack, and classifies each task with its own head. Heads give
+The model reads records as columns: a `data_metrics.Split`, which `train`,
+`evaluate` and the CLI build once per split (`clip_split`, in `group_clips`
+order) and where records are checked against the model's feature width and
+class counts. A forward takes a view of whole consecutive clips: one clip
+per training step, or a pack of clips when scoring. Each record carries a
+raw feature vector plus one attention label and multi-hot spatial and
+contact labels. The model projects features, refines them with the
+dual-branch pair-encoding stack, and classifies each task with its own
+head. Heads give
 logits; the attention and BCE losses take those logits, and the margin loss
 ranks the probabilities the heads build from them.
 
@@ -23,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import numcore as nc
-from .data_metrics import group_clips, label_counts, rank_recalls
+from .data_metrics import Split, group_clips, label_counts, rank_recalls
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
@@ -202,6 +207,11 @@ def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
 # model
 # ---------------------------------------------------------------------------
 
+def _codes(*cols) -> np.ndarray:
+    """Each row's index among the distinct rows of ``cols``, sorted."""
+    return np.unique(np.column_stack(cols), axis=0, return_inverse=True)[1].reshape(-1)
+
+
 class _RowStreams:
     """One Rng per block of consecutive rows, for a pack of clips. A draw of
     shape (..., rows, C) concatenates each stream's own (..., its rows, C)
@@ -268,65 +278,42 @@ class FremureModel(nc.Module):
     # priors live outside the parameter tree; Module.parameters would otherwise
     # not see them anyway since FrequencyPrior holds plain arrays.
 
-    def _check_clip(self, clip, packed: bool) -> list:
-        """Validate the records and return the row count of each clip in
-        them; only a pack may hold more than one clip."""
-        if not clip:
-            raise ContractError("empty clip")
-        sizes = [0]
-        cid = clip[0].clip
-        counts = self.cfg.class_counts()
-        for i, rec in enumerate(clip):
-            if rec.clip != cid:
-                if not packed:
-                    raise ContractError(f"record {i} belongs to clip {rec.clip}, "
-                                        f"expected {cid}")
-                cid = rec.clip
-                sizes.append(0)
-            sizes[-1] += 1
-            if len(rec.feat) != self.cfg.raw_dim:
-                raise ContractError(f"record {i} feature dim {len(rec.feat)} != "
-                                    f"configured raw_dim {self.cfg.raw_dim}")
-            if not 0 <= rec.attn < counts["attn"]:
-                raise ContractError(f"record {i} attention label {rec.attn} "
-                                    f"outside [0, {counts['attn']})")
-            if len(rec.spat) != counts["spat"] or len(rec.cont) != counts["cont"]:
-                raise ContractError(f"record {i} label widths do not match the "
-                                    "configured class counts")
-        return sizes
+    def _split(self, clip) -> Split:
+        """``clip`` if a `Split`, else the Split of its records in order."""
+        if isinstance(clip, Split):
+            return clip
+        return Split.of(clip, self.cfg.raw_dim, self.cfg.class_counts())
 
     def forward(self, clip, rng=None, training: bool = False):
         """Returns {"logits": ..., "probs": ..., "reports": ...}, each keyed
         by task: (N, C_task) logit and probability Tensors and the head's
-        `UncertaintyReport`, rows aligned to the records' order.
+        `UncertaintyReport`, rows aligned to the rows of ``clip``: a `Split`
+        view of whole consecutive clips, or a list of records, taken in its
+        order through `Split.of`.
 
-        ``clip`` holds one clip's records, with ``rng`` an ``nc.Rng`` or
-        None. Or it is a pack, for scoring only: the records of several
-        clips back to back, each clip's records contiguous, with ``rng`` a
-        list of one Rng per clip. Rows of different clips share no
-        attention and no window, and each clip's draws come from its own
-        Rng, so a pack gives every clip the rows its own forward would. The
-        one exception is rounding: a clip with a one-row block (a frame of
-        one pair) multiplies one-row matrices alone, which BLAS may round in
-        the last bit unlike the same row inside a pack's larger block.
+        One clip takes ``rng`` an ``nc.Rng`` or None; several clips, a pack
+        for scoring only, take a list of one Rng per clip. Rows of different
+        clips share no attention and no window, and each clip's draws come
+        from its own Rng, so a pack gives every clip the rows its own forward
+        would. The one exception is rounding: a clip with a one-row block (a
+        frame of one pair) multiplies one-row matrices alone, which BLAS may
+        round in the last bit unlike the same row inside a pack's larger block.
         """
-        packed = isinstance(rng, list)
-        sizes = self._check_clip(clip, packed)
-        if packed:
+        view = self._split(clip)
+        sizes = np.diff(view.starts)
+        if isinstance(rng, list):
             if training:
                 raise ContractError("a pack of clips is scored, not trained: "
                                     "training takes one clip per forward")
-            if len(rng) != len(sizes):
-                raise ContractError(f"a pack of {len(sizes)} clips needs as many "
+            if len(rng) != sizes.size:
+                raise ContractError(f"a pack of {sizes.size} clips needs as many "
                                     f"Rngs, got {len(rng)}")
-            rng = _RowStreams(rng, sizes)
-        feats = np.array([r.feat for r in clip], dtype=np.float64)
-        frames = np.asarray([r.frame for r in clip], dtype=np.int64)
-        pair_keys = [(r.subj, r.obj) for r in clip]
-        codes = {pair: i for i, pair in enumerate(sorted(set(pair_keys)))}
-        pair_ids = np.asarray([codes[p] for p in pair_keys], dtype=np.int64)
-        clip_keys = np.repeat(np.arange(len(sizes)), sizes)
-        embeds = self._embed(feats, clip_layout(frames, pair_ids, clip_keys))
+            rng = _RowStreams(rng, sizes.tolist())
+        elif sizes.size > 1:
+            raise ContractError(f"{sizes.size} clips need a list of one Rng each")
+        layout = clip_layout(view.frame, _codes(view.subj, view.obj),
+                             np.repeat(np.arange(sizes.size), sizes))
+        embeds = self._embed(view.feat, layout)
 
         out = {"logits": {}, "probs": {}, "reports": {}}
         for i, t in enumerate(TYPES):
@@ -355,12 +342,11 @@ class FremureModel(nc.Module):
         return {t: z[i] for i, t in enumerate(TYPES)}
 
     def _type_losses(self, clip, rng, training):
-        out = self.forward(clip, rng, training)
-        attn = np.asarray([r.attn for r in clip], dtype=np.int64)
-        spat = np.asarray([r.spat for r in clip], dtype=np.float64)
-        cont = np.asarray([r.cont for r in clip], dtype=np.float64)
-        losses = {"attn": loss_attention(out["logits"]["attn"], attn)}
-        for t, bits in (("spat", spat), ("cont", cont)):
+        view = self._split(clip)
+        out = self.forward(view, rng, training)
+        losses = {"attn": loss_attention(out["logits"]["attn"], view.attn)}
+        for t in ("spat", "cont"):
+            bits = getattr(view, t)
             if self.cfg.multilabel_loss == "bce":
                 losses[t] = loss_multilabel_bce(out["logits"][t], bits)
             else:
@@ -444,7 +430,7 @@ class Predictions:
     are (frame, subj, obj, class), one per class of every record, with
     `scores` alongside; `truth` rows are the records' labels in the same
     form. `uncertainty` maps "<task>_aleatoric" and "<task>_epistemic" to
-    one value per record, records in clip order."""
+    one value per record, in the split's row order."""
     entries: np.ndarray
     scores: np.ndarray
     truth: np.ndarray
@@ -459,72 +445,71 @@ class Predictions:
 PACK_RECORDS = 200
 
 
-def _packs(clips, cap: int) -> list:
-    """Runs of consecutive clip indices of at most ``cap`` records each; a
-    clip of more records than that is a pack of its own."""
-    packs, size = [], 0
-    for ci, clip in enumerate(clips):
-        if packs and size + len(clip) <= cap:
-            packs[-1].append(ci)
-            size += len(clip)
-        else:
-            packs.append([ci])
-            size = len(clip)
-    return packs
+def _packs(sizes, cap: int) -> list:
+    """(first, end) ranges of consecutive clips, for clips of ``sizes``
+    records, of at most ``cap`` records each; a clip of more records than
+    that is a pack of its own."""
+    firsts, size = [], cap
+    for ci, n in enumerate(sizes):
+        size += n
+        if size > cap:
+            firsts.append(ci)
+            size = n
+    return list(zip(firsts, firsts[1:] + [len(sizes)]))
 
 
-def predict_clips(model: FremureModel, clips, rng: nc.Rng) -> Predictions:
-    """Score every class for every record. Consecutive clips go through
-    ``FremureModel.forward`` together, in packs of at most ``PACK_RECORDS``
-    records, and clip i draws from ``rng.spawn(i)`` as if scored alone."""
-    counts = model.cfg.class_counts()
-    keys = sorted({(rec.clip, rec.frame) for clip in clips for rec in clip})
-    frame_of = {key: i for i, key in enumerate(keys)}
-    ids, scores, labels = [], [], []
+def predict_clips(model: FremureModel, split: Split, rng: nc.Rng) -> Predictions:
+    """Score every class for every record of ``split``. Consecutive clips go
+    through ``FremureModel.forward`` together, in packs of at most
+    ``PACK_RECORDS`` records, and clip i draws from ``rng.spawn(i)`` as if
+    scored alone."""
+    ids = np.column_stack([_codes(split.clip, split.frame), split.subj, split.obj])
+    scores = []
     uncertainty = {f"{t}_{kind}": [] for t in TYPES
                    for kind in ("aleatoric", "epistemic")}
     with nc.no_grad():
-        for pack in _packs(clips, PACK_RECORDS):
-            records = [rec for ci in pack for rec in clips[ci]]
-            out = model.forward(records, [rng.spawn(ci) for ci in pack],
-                                training=False)
-            ids.append(np.array([(frame_of[(r.clip, r.frame)], r.subj, r.obj)
-                                 for r in records], dtype=np.int64))
+        for lo, hi in _packs(np.diff(split.starts).tolist(), PACK_RECORDS):
+            out = model.forward(split.view(lo, hi),
+                                [rng.spawn(ci) for ci in range(lo, hi)], training=False)
             # columns in TYPES order are the global class numbering
             scores.append(np.concatenate([out["probs"][t].data for t in TYPES],
                                          axis=1))
-            labels.append(np.concatenate(
-                [np.eye(counts["attn"], dtype=bool)[[r.attn for r in records]]]
-                + [np.array([getattr(r, t) for r in records]) != 0
-                   for t in ("spat", "cont")], axis=1))
             for t in TYPES:
                 report = out["reports"][t]
                 uncertainty[f"{t}_aleatoric"].append(report.aleatoric_rows)
                 uncertainty[f"{t}_epistemic"].append(report.epistemic_rows)
-    ids = np.concatenate(ids)
     scores = np.concatenate(scores)
     n_cls = scores.shape[1]
     entries = np.column_stack([np.repeat(ids, n_cls, axis=0),
                                np.tile(np.arange(n_cls), len(ids))])
-    rec, cls = np.nonzero(np.concatenate(labels))
+    labels = np.concatenate([np.eye(model.cfg.attn_classes, dtype=bool)[split.attn],
+                             split.spat != 0, split.cont != 0], axis=1)
+    rec, cls = np.nonzero(labels)
     return Predictions(entries, scores.ravel(), np.column_stack([ids[rec], cls]),
                        {name: np.concatenate(rows).tolist()
                         for name, rows in uncertainty.items()})
+
+
+def clip_split(records, cfg: ModelConfig) -> Split:
+    """The `Split` of ``records`` in `group_clips` order, checked against
+    ``cfg``'s feature width and class counts."""
+    return Split.of([rec for clip in group_clips(records) for rec in clip],
+                    cfg.raw_dim, cfg.class_counts())
 
 
 def evaluate(model: FremureModel, records, ks=(10, 20, 50), constraint: bool = True,
              seed: int = 0) -> dict:
     """Recall, mean recall and per-class recall at each K over the given
     records, from packed forward passes (`predict_clips`) and one ranking of
-    every frame. "uncertainty" holds each record's uncertainty values from those passes
-    (see `Predictions`), records in `group_clips` order."""
-    clips = group_clips(records)
-    if not clips:
-        raise ContractError("no records to evaluate")
-    pred = predict_clips(model, clips, nc.Rng(seed))
+    every frame. "samples" maps "clip", "frame", "subj", "obj" and each
+    uncertainty value of those passes (see `Predictions`) to one value per
+    record, records in `group_clips` order."""
+    split = clip_split(records, model.cfg)
+    pred = predict_clips(model, split, nc.Rng(seed))
     out = rank_recalls(pred.entries, pred.scores, pred.truth, ks, constraint,
                        class_type_array(model.cfg))
-    out["uncertainty"] = pred.uncertainty
+    ids = {name: getattr(split, name).tolist() for name in ("clip", "frame", "subj", "obj")}
+    out["samples"] = dict(ids, **pred.uncertainty)
     return out
 
 
@@ -539,7 +524,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     epochs: int = 10
-    batch_clips: int = 1
     ks: tuple = (10, 20, 50)
     constraint: bool = True
 
@@ -557,8 +541,6 @@ class TrainConfig:
             out.append("eps must be positive")
         if self.epochs < 0:
             out.append("epochs must be >= 0")
-        if self.batch_clips < 1:
-            out.append("batch_clips must be >= 1")
         if not self.ks or any(int(k) < 1 for k in self.ks):
             out.append("ks must be a non-empty list of positive integers")
         return out
@@ -569,40 +551,32 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
     """Adam training over clips, one clip per step, fully determined by
     (records, configs, seed). Returns (model, per-epoch history rows); with
     validation records, each row also carries that epoch's mR@K and R@K."""
-    clips = group_clips(train_records)
-    if not clips:
-        raise ContractError("no training records")
+    split = clip_split(train_records, mcfg)
     root = nc.Rng(seed)
     model = FremureModel(mcfg, root.spawn(0))
-    model.set_priors(label_counts(train_records, mcfg))
+    model.set_priors(label_counts(split, mcfg))
     opt = nc.Adam(model.parameters(), tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     shuffle_rng = root.spawn(1)
     sample_root = root.spawn(2)
 
     history = []
     for epoch in range(tcfg.epochs):
-        order = shuffle_rng.spawn(epoch).permutation(len(clips))
+        order = shuffle_rng.spawn(epoch).permutation(len(split))
         epoch_rng = sample_root.spawn(epoch)
         sums = {"L_a": 0.0, "L_s": 0.0, "L_c": 0.0, "reg": 0.0}
-        for j0 in range(0, len(order), tcfg.batch_clips):
-            chunk = order[j0:j0 + tcfg.batch_clips]
+        for j, ci in enumerate(order):
+            clip = split.view(ci, ci + 1)
             opt.zero_grad()
-            for off, ci in enumerate(chunk):
-                j = j0 + off
-                total, parts = model.total_loss(clips[ci], epoch_rng.spawn(j),
-                                                training=True)
-                if not np.isfinite(parts["total"]):
-                    raise NumericalError(f"non-finite loss at epoch {epoch}, "
-                                         f"step {j} (clip {clips[ci][0].clip})")
-                # gradients average over the batch; a singleton batch keeps
-                # the unscaled loss so the stream matches batch_clips=1 runs
-                loss = total if len(chunk) == 1 else total * (1.0 / len(chunk))
-                loss.backward()
-                for key in sums:
-                    sums[key] += parts[key]
+            total, parts = model.total_loss(clip, epoch_rng.spawn(j), training=True)
+            if not np.isfinite(parts["total"]):
+                raise NumericalError(f"non-finite loss at epoch {epoch}, "
+                                     f"step {j} (clip {clip.clip[0]})")
+            total.backward()
+            for key in sums:
+                sums[key] += parts[key]
             opt.step()
         row = {"epoch": epoch}
-        row.update({k: v / len(clips) for k, v in sums.items()})
+        row.update({k: v / len(split) for k, v in sums.items()})
         if val_records:
             scores = evaluate(model, val_records, tcfg.ks, tcfg.constraint,
                               seed=seed)
@@ -629,14 +603,18 @@ def checkpoint_dict(model: FremureModel, epoch: int, seed: int) -> dict:
 
 def _numbers(value, key: str) -> np.ndarray:
     """A checkpoint entry as a float64 array; ContractError naming ``key``
-    unless it is a number or a rectangular nest of numbers."""
+    unless it is a finite number or a rectangular nest of finite numbers
+    (Python's JSON reader takes NaN and Infinity tokens)."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iuf":
-            return arr.astype(np.float64)
     except ValueError:                  # ragged nesting
-        pass
-    raise ContractError(f"checkpoint '{key}' must hold only numbers")
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ContractError(f"checkpoint '{key}' must hold only numbers")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ContractError(f"checkpoint '{key}' must hold only finite numbers")
+    return arr
 
 
 def model_from_checkpoint(doc: dict) -> FremureModel:

@@ -208,15 +208,71 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
 
 
 def test_train_non_finite_loss_aborts_with_code_3(tmp_path, capsys):
+    # valid records and a finite learning rate large enough that the first
+    # Adam step sends the parameters, and the next loss, to infinity
+    cfg, outdir = _gen(tmp_path, **{"train.lr": "1e300"})
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", cfg, "--out", outdir]) == 3
+    assert "non-finite loss at epoch 0, step 1" in capsys.readouterr().err
+
+
+def _set(field, value):
+    def edit(doc):
+        doc[field] = value
+    return edit
+
+
+def _set_first(field, value):
+    def edit(doc):
+        doc[field][0] = value
+    return edit
+
+
+# (command, file, edit of its third record, message): each breaks the record
+# file contract and exits 1 naming the file, the line and the field
+BAD_RECORDS = {
+    "spat-all-minus-one": ("train", "train.jsonl",
+                           lambda doc: doc.update(spat=[-1] * len(doc["spat"])),
+                           "'spat' bits must be 0 or 1"),
+    "spat-bit-2": ("train", "train.jsonl", _set_first("spat", 2),
+                   "'spat' bits must be 0 or 1"),
+    "clip-float": ("train", "train.jsonl", _set("clip", 0.7),
+                   "'clip' must be a JSON integer, got 0.7"),
+    "clip-bool": ("train", "train.jsonl", _set("clip", True),
+                  "'clip' must be a JSON integer, got True"),
+    "attn-float": ("train", "train.jsonl", _set("attn", 1.9),
+                   "'attn' must be a JSON integer, got 1.9"),
+    "feat-string": ("train", "train.jsonl", _set_first("feat", "1.5"),
+                    "'feat' must hold only JSON numbers"),
+    "feat-inf": ("train", "train.jsonl", _set_first("feat", float("inf")),
+                 "'feat' must hold only finite numbers"),
+    "feat-width": ("train", "train.jsonl", lambda doc: doc["feat"].pop(),
+                   "'feat' has 5 values, not the 6 of the first record"),
+    "eval-cont-bit-2": ("eval", "test.jsonl", _set_first("cont", 2),
+                        "'cont' bits must be 0 or 1"),
+    "eval-frame-minus-one": ("eval", "test.jsonl", _set("frame", -1),
+                             "'frame' must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_record_breaking_the_file_contract_exits_1(tmp_path, capsys, case):
+    command, name, edit, message = BAD_RECORDS[case]
     cfg, outdir = _gen(tmp_path)
-    path = os.path.join(outdir, "train.jsonl")
-    lines = Path(path).read_text().splitlines()
-    doc = json.loads(lines[0])
-    doc["feat"] = [float("inf")] * len(doc["feat"])
-    lines[0] = json.dumps(doc)
-    Path(path).write_text("\n".join(lines) + "\n")
-    assert main(["train", "--config", cfg, "--out", outdir]) == 3
-    assert "non-finite loss" in capsys.readouterr().err
+    if command == "eval":
+        assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    path = os.path.join(outdir, name)
+    docs = _jsonl(path)
+    edit(docs[2])
+    Path(path).write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--config", cfg, "--out", outdir]
+    else:
+        argv = ["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                "--data", path, "--out", str(tmp_path / "ev")]
+    assert main(argv) == 1
+    assert f"{path}, line 3: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("train.lr", "nan"), ("train.lr", "inf"),
@@ -292,7 +348,7 @@ def test_eval_runs_one_forward_per_pack(tmp_path, monkeypatch):
     forward = FremureModel.forward
 
     def counting(self, clip, *args, **kwargs):
-        calls.append([rec.clip for rec in clip])
+        calls.append(clip.clip.tolist())
         return forward(self, clip, *args, **kwargs)
 
     # 3 test clips of 4 records: packs of at most 8 records take 2 clips, then 1
@@ -338,8 +394,10 @@ def test_eval_class_count_mismatch_names_both_values(trained, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
                "--data", path, "--out", str(tmp_path / "ev3")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "2" in err and "3" in err    # dataset width vs model width
+    # dataset width vs model width, at the first record of that file
+    first = docs[0]
+    assert (f"record (clip {first['clip']}, frame {first['frame']}, subj {first['subj']}, "
+            f"obj {first['obj']}): spat has 2 values, expected 3") in capsys.readouterr().err
 
 
 def test_eval_rejects_non_checkpoint_json(trained, tmp_path):
@@ -382,6 +440,23 @@ def test_eval_checkpoint_string_value_names_its_key(trained, tmp_path, capsys,
                "--out", str(tmp_path / "ev7")])
     assert rc == 1
     assert f"checkpoint '{named}' must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["priors.attn", "parameters.heads.attn.bias"])
+def test_eval_checkpoint_non_finite_value_names_file_and_key(trained, tmp_path, capsys,
+                                                             key):
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    section, name = key.split(".", 1)
+    doc[section][name][0] = float("nan")
+    ckpt = tmp_path / "nan.json"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"),
+               "--out", str(tmp_path / "ev9")])
+    assert rc == 1
+    assert (f"{ckpt}: checkpoint '{key}' must hold only finite numbers"
+            in capsys.readouterr().err)
 
 
 def test_eval_head_or_tail_bucket_without_classes_is_null(tmp_path):

@@ -220,7 +220,7 @@ def test_block_generator_equals_record_by_record_draws():
         want_train, want_test = _reference_dataset(cfg, seed, taken)
         _same_records(train, want_train)
         _same_records(test, want_test)
-        want_counts = dm.label_counts(want_train, cfg)
+        want_counts = _counts(want_train, cfg)
         for t in dm.RELATION_TYPES:
             assert counts[t].tolist() == want_counts[t].tolist()
     # both outcomes of every conditional draw were exercised
@@ -254,13 +254,17 @@ def test_writing_one_record_feature_leaves_the_others():
             assert rec.feat.tobytes() == ref.feat.tobytes()
 
 
+def _counts(records, cfg):
+    return dm.label_counts(dm.Split.of(records, cfg.d, cfg.class_counts()), cfg)
+
+
 def test_label_counts_hand_check():
     cfg = _tiny_cfg(attn_classes=2, spat_classes=2, cont_classes=2)
     recs = [
         dm.TripletRecord(0, 0, 0, 1, np.zeros(4), 0, [1, 0], [1, 1]),
         dm.TripletRecord(0, 1, 0, 1, np.zeros(4), 1, [1, 1], [0, 1]),
     ]
-    counts = dm.label_counts(recs, cfg)
+    counts = _counts(recs, cfg)
     assert counts["attn"].tolist() == [1, 1]
     assert counts["spat"].tolist() == [2, 1]
     assert counts["cont"].tolist() == [1, 2]
@@ -271,7 +275,7 @@ def test_label_counts_equal_a_record_loop():
     for i in range(12):
         cfg = _random_cfg(pick, i)
         train, _, _ = dm.generate_dataset(cfg, int(pick.integers(0, 2**63)))
-        for records in (train, train[:1], []):
+        for records in (train, train[:1]):
             want = {"attn": np.zeros(cfg.attn_classes),
                     "spat": np.zeros(cfg.spat_classes),
                     "cont": np.zeros(cfg.cont_classes)}
@@ -279,22 +283,49 @@ def test_label_counts_equal_a_record_loop():
                 want["attn"][rec.attn] += 1
                 want["spat"] += rec.spat
                 want["cont"] += rec.cont
-            got = dm.label_counts(records, cfg)
+            got = _counts(records, cfg)
             for t in dm.RELATION_TYPES:
                 assert got[t].dtype == np.float64
                 assert got[t].tolist() == want[t].tolist(), (i, t)
 
 
 def test_label_counts_reject_labels_the_config_cannot_hold():
+    # label counts read a Split, and Split.of is where records meet the
+    # config: the error names the first bad record and its field
     cfg = _tiny_cfg(attn_classes=2, spat_classes=2, cont_classes=2)
 
-    def rec(attn, spat):
-        return dm.TripletRecord(0, 0, 0, 1, np.zeros(4), attn, spat, [0, 1])
+    def rec(attn=0, spat=(1, 0), clip=0, frame=0, feat=4):
+        return dm.TripletRecord(clip, frame, 0, 1, np.zeros(feat), attn, list(spat),
+                                [0, 1])
 
-    for bad in ([rec(0, [1, 0]), rec(-1, [0, 1])], [rec(2, [1, 0])],
-                [rec(0, [1, 0]), rec(1, [1])], [rec(0, [1, 0, 1])]):
-        with pytest.raises(ContractError):
-            dm.label_counts(bad, cfg)
+    where = "record (clip 0, frame 1, subj 0, obj 1): "
+    for bad, problem in (
+            ([rec(), rec(-1, frame=1)], "attn -1 outside [0, 2)"),
+            ([rec(), rec(2, frame=1)], "attn 2 outside [0, 2)"),
+            ([rec(), rec(spat=[1], frame=1)], "spat has 1 values, expected 2"),
+            ([rec(), rec(spat=[1, 0, 1], frame=1)], "spat has 3 values, expected 2"),
+            ([rec(), rec(feat=5, frame=1)], "feat has 5 values, expected 4"),
+            ([rec(), rec(clip=3), rec(frame=1)], "clip 0 resumes after other clips")):
+        with pytest.raises(ContractError, match=re.escape(where + problem)):
+            dm.Split.of(bad, cfg.d, cfg.class_counts())
+    with pytest.raises(ContractError, match="no records"):
+        dm.Split.of([], cfg.d, cfg.class_counts())
+
+
+def test_split_keeps_record_order_and_views_whole_clips():
+    cfg = _tiny_cfg(clips=3)
+    train, _, _ = dm.generate_dataset(cfg, seed=8)
+    records = train[::-1]                  # clips 2, 1, 0, each reversed
+    split = dm.Split.of(records, cfg.d, cfg.class_counts())
+    assert len(split) == 3
+    assert split.starts.tolist() == [0, 6, 12, 18]
+    for name in ("clip", "frame", "subj", "obj", "attn", "spat", "cont"):
+        assert getattr(split, name).tolist() == [getattr(r, name) for r in records]
+    assert split.feat.tobytes() == np.array([r.feat for r in records]).tobytes()
+    view = split.view(1, 3)
+    assert len(view) == 2 and view.starts.tolist() == [0, 6, 12]
+    assert view.clip.tolist() == [1] * 6 + [0] * 6
+    assert np.shares_memory(view.feat, split.feat)
 
 
 def test_group_clips_sorted():

@@ -76,8 +76,8 @@ def test_linear_head_single_label_probs_normalized():
     head = heads.LinearHead(5, 4, nc.Rng(2))
     _, probs, report = head.predict(nc.Tensor(nc.Rng(3).normals(5)))
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
-    assert report.aleatoric == 0.0
-    assert 0.0 <= report.epistemic <= math.log(4) + 1e-12
+    assert report.aleatoric_rows.tolist() == [0.0]
+    assert 0.0 <= report.epistemic_rows[0] <= math.log(4) + 1e-12
 
 
 def test_bayesian_zero_variance_equals_linear_head_exactly():
@@ -90,7 +90,7 @@ def test_bayesian_zero_variance_equals_linear_head_exactly():
     l_lin, p_lin, _ = lin.predict(z)
     assert np.array_equal(l_bay.data, l_lin.data)
     assert np.array_equal(p_bay.data, p_lin.data)
-    assert rep.aleatoric == 0.0
+    assert rep.aleatoric_rows.tolist() == [0.0]
     # independent of the sample count in the degenerate case
     bay.s_eval = 17
     _, p_again, _ = bay.predict(z, nc.Rng(7))
@@ -144,8 +144,8 @@ def test_bayesian_report_fields():
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = math.log(0.3)
     _, probs, report = head.predict(nc.Tensor(nc.Rng(17).normals(3)), nc.Rng(18))
-    assert report.aleatoric == pytest.approx(0.3, abs=1e-12)
-    assert 0.0 <= report.epistemic <= math.log(4) + 1e-12
+    assert report.aleatoric_rows == pytest.approx([0.3], abs=1e-12)
+    assert 0.0 <= report.epistemic_rows[0] <= math.log(4) + 1e-12
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -422,4 +422,5 @@ def test_multi_label_mode_outputs_independent_probabilities():
     head = heads.GmmPlusHead(4, 3, nc.Rng(50), mode="multi")
     _, probs, report = head.predict(nc.Tensor(nc.Rng(51).normals(4)))
     assert np.all((probs.data > 0.0) & (probs.data < 1.0))
-    assert report.epistemic <= math.log(2.0) + 1e-12
+    assert report.epistemic_rows.shape == (1,)
+    assert report.epistemic_rows[0] <= math.log(2.0) + 1e-12

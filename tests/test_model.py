@@ -11,7 +11,7 @@ import pytest
 from fremure import dpeg
 from fremure import numcore as nc
 from fremure import model as M
-from fremure.data_metrics import SyntheticConfig, TripletRecord, generate_dataset, group_clips
+from fremure.data_metrics import Split, SyntheticConfig, TripletRecord, generate_dataset
 from fremure.errors import ContractError, NumericalError
 from gradcheck import backward_visiting_everything, finite_diff_check, finite_diff_model
 
@@ -43,6 +43,11 @@ def _loss_multilabel_margin(scores, positives, negatives):
     sp = nc.reshape(scores[pos], (pos.size, 1))
     sn = nc.reshape(scores[neg], (1, neg.size))
     return nc.maximum(1.0 - sp + sn, 0.0).mean()
+
+
+def _split(model, clips):
+    """The Split of clips (lists of records), back to back."""
+    return Split.of(sum(clips, []), model.cfg.raw_dim, model.cfg.class_counts())
 
 
 def _small_cfg(**over):
@@ -674,11 +679,11 @@ class TestPackedScoring:
         model = M.FremureModel(_small_cfg(flags=M.AblationFlags(head=head)), nc.Rng(8))
         clips = self._ragged_clips()
         monkeypatch.setattr(M, "PACK_RECORDS", cap)
-        packs = M._packs(clips, cap)
-        assert sum(packs, []) == list(range(len(clips)))
+        packs = M._packs([len(clip) for clip in clips], cap)
+        assert [ci for lo, hi in packs for ci in range(lo, hi)] == list(range(len(clips)))
         if cap == 16:
-            assert packs == [[0, 1], [2, 3], [4]]
-        pred = M.predict_clips(model, clips, nc.Rng(9))
+            assert packs == [(0, 2), (2, 4), (4, 5)]
+        pred = M.predict_clips(model, _split(model, clips), nc.Rng(9))
         scores, uncertainty = self._alone(model, clips, 9)
         assert np.array_equal(pred.scores, scores)
         assert pred.uncertainty == uncertainty
@@ -692,7 +697,7 @@ class TestPackedScoring:
         clips = [_clip(nc.Rng(30), n_frames=4, n_pairs=1, clip_id=0),
                  _clip(nc.Rng(31), n_frames=1, n_pairs=1, clip_id=1),
                  _clip(nc.Rng(32), n_frames=3, n_pairs=2, clip_id=2)]
-        pred = M.predict_clips(model, clips, nc.Rng(9))
+        pred = M.predict_clips(model, _split(model, clips), nc.Rng(9))
         scores, uncertainty = self._alone(model, clips, 9)
         np.testing.assert_allclose(pred.scores, scores, rtol=1e-14, atol=0)
         for name, rows in uncertainty.items():
@@ -710,6 +715,58 @@ class TestPackedScoring:
         assert model.forward(pack, [nc.Rng(3), nc.Rng(4)])["probs"]["attn"].shape == (12, 2)
 
 
+class TestSplitForward:
+    """``forward`` reads a `Split` view of whole clips; a list of records goes
+    through ``Split.of`` in its own order."""
+
+    @staticmethod
+    def _same(a, b):
+        for t in M.TYPES:
+            assert a["logits"][t].data.tobytes() == b["logits"][t].data.tobytes(), t
+            assert a["probs"][t].data.tobytes() == b["probs"][t].data.tobytes(), t
+            for rows in ("aleatoric_rows", "epistemic_rows"):
+                assert getattr(a["reports"][t], rows).tobytes() == \
+                    getattr(b["reports"][t], rows).tobytes(), (t, rows)
+
+    @pytest.mark.parametrize("head", ["gmm_plus", "bayesian"])
+    def test_a_record_list_and_its_split_view_give_the_same_bits(self, head):
+        model = M.FremureModel(_small_cfg(flags=M.AblationFlags(head=head)), nc.Rng(8))
+        clips = TestPackedScoring._ragged_clips()
+        split = _split(model, clips)
+        # one clip, then a pack of clips 2 to 4, clip 3 ragged inside
+        for lo, hi in ((0, 1), (2, 5)):
+            records = [rec for clip in clips[lo:hi] for rec in clip]
+
+            def rng():
+                if hi - lo == 1:
+                    return nc.Rng(40)
+                return [nc.Rng(40 + ci) for ci in range(lo, hi)]
+
+            with nc.no_grad():
+                self._same(model.forward(records, rng()),
+                           model.forward(split.view(lo, hi), rng()))
+        # and a training forward, through the losses
+        _, parts = model.total_loss(clips[3], nc.Rng(41), training=True)
+        assert model.total_loss(split.view(3, 4), nc.Rng(41), training=True)[1] == parts
+
+    def test_a_record_list_keeps_its_row_order(self):
+        model = M.FremureModel(_small_cfg(), nc.Rng(8))
+        clip = _clip(nc.Rng(1))                 # in group_clips order
+        order = [5, 2, 0, 4, 1, 3]
+        shuffled = [clip[i] for i in order]
+        split = Split.of(shuffled, 6, model.cfg.class_counts())
+        assert split.frame.tolist() == [rec.frame for rec in shuffled]
+        assert split.subj.tolist() == [rec.subj for rec in shuffled]
+        with nc.no_grad():
+            want = model.forward(clip)
+            got = model.forward(shuffled)
+        # the rows keep the list's order; inside a frame's attention block
+        # they sum in that order too, which may round the last bit apart
+        for t in M.TYPES:
+            np.testing.assert_allclose(got["probs"][t].data, want["probs"][t].data[order],
+                                       rtol=1e-12, atol=0)
+
+
 class TestEvalAndCheckpoint:
     def _trained(self, head="gmm_plus"):
         cfg = SyntheticConfig(attn_classes=2, spat_classes=4, cont_classes=4,
@@ -721,7 +778,7 @@ class TestEvalAndCheckpoint:
 
     def test_predictions_score_every_class(self):
         model, test = self._trained()
-        pred = M.predict_clips(model, group_clips(test), nc.Rng(0))
+        pred = M.predict_clips(model, M.clip_split(test, model.cfg), nc.Rng(0))
         frames, subj, obj, cls = pred.entries.T
         assert set(frames.tolist()) == set(pred.truth[:, 0].tolist())
         for f in set(frames.tolist()):

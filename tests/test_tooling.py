@@ -152,3 +152,33 @@ def test_every_program_name_is_used_outside_the_tests():
                    if not any(path == p and lo <= i <= hi for p, lo, hi in sites)):
             unused.append(name)
     assert unused == []
+
+
+def _fields_and_attributes(paths) -> dict:
+    """name -> {(file name, line)} of every dataclass field and every
+    attribute a method sets on ``self``."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        out.setdefault(item.target.id, set()).add((path.name, item.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self":
+                out.setdefault(node.attr, set()).add((path.name, node.lineno))
+    return out
+
+
+def test_every_program_field_and_attribute_is_read_outside_the_tests():
+    # read means loaded as an attribute (``x.name``) somewhere in the program
+    # or the benchmark; a value only stored, or read only by the tests, is
+    # dead weight
+    src = sorted((ROOT / "src" / "fremure").glob("*.py"))
+    read = {node.attr for path in src + sorted((ROOT / "bench").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {name: sorted(sites) for name, sites in _fields_and_attributes(src).items()
+              if name not in read}
+    assert unread == {}
