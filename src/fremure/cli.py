@@ -19,7 +19,7 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import ConfigError, ContractError, NumericalError
 from .freqgate import compute_frequencies
 from .model import (TYPES, AblationFlags, FremureModel, ModelConfig,
                     TrainConfig, checkpoint_dict, clip_split, evaluate,
-                    grad_conflict, model_from_checkpoint, train)
+                    field_types, grad_conflict, model_from_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,31 +61,21 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "runs"
 
-    def to_json(self) -> dict:
-        return {"data": asdict(self.data), "model": asdict(self.model),
-                "train": asdict(self.train), "seed": self.seed, "out": self.out}
-
 
 _SECTIONS = {"data": SyntheticConfig, "model": ModelConfig,
              "train": TrainConfig, "flags": AblationFlags}
-# settable per section: scalar fields only; flags live in their own section
-# and evaluation knobs (ks, constraint) come from command-line options
-_EXCLUDED = {("model", "flags"), ("train", "ks"), ("train", "constraint")}
+# settable per section: scalar fields only. Flags live in their own section,
+# evaluation knobs (ks, constraint) come from command-line options, and the
+# model's input width and class counts are those of the data it reads
+_EXCLUDED = {("model", "flags"), ("train", "ks"), ("train", "constraint"),
+             ("model", "raw_dim"), ("model", "attn_classes"),
+             ("model", "spat_classes"), ("model", "cont_classes")}
 _TOP_LEVEL = {"seed": int, "out": str}
-
-# the model consumes what the generator emits, so these default to the
-# matching data.* values unless the file pins them explicitly
-_INHERITED = {"raw_dim": "d", "attn_classes": "attn_classes",
-              "spat_classes": "spat_classes", "cont_classes": "cont_classes"}
 
 
 def _section_fields(section: str) -> dict:
-    out = {}
-    for f in fields(_SECTIONS[section]):
-        if (section, f.name) in _EXCLUDED:
-            continue
-        out[f.name] = type(getattr(_SECTIONS[section](), f.name))
-    return out
+    return {name: kind for name, kind in field_types(_SECTIONS[section]).items()
+            if (section, name) not in _EXCLUDED}
 
 
 def _convert(key: str, raw: str, kind: type, problems: list):
@@ -144,21 +134,15 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"unknown key '{key}'")
 
     data = SyntheticConfig(**overrides["data"])
-    for model_field, data_field in _INHERITED.items():
-        overrides["model"].setdefault(model_field, getattr(data, data_field))
-    flags = AblationFlags(**overrides["flags"])
-    model = ModelConfig(flags=flags, **overrides["model"])
+    model = ModelConfig(raw_dim=data.d, attn_classes=data.attn_classes,
+                        spat_classes=data.spat_classes,
+                        cont_classes=data.cont_classes,
+                        flags=AblationFlags(**overrides["flags"]),
+                        **overrides["model"])
     tcfg = TrainConfig(**overrides["train"])
 
     for section, cfg in (("data", data), ("model", model), ("train", tcfg)):
         problems.extend(f"{section}: {p}" for p in cfg.problems())
-    if model.raw_dim != data.d:
-        problems.append(f"model.raw_dim={model.raw_dim} contradicts data.d={data.d}")
-    for model_field in ("attn_classes", "spat_classes", "cont_classes"):
-        if getattr(model, model_field) != getattr(data, model_field):
-            problems.append(f"model.{model_field}={getattr(model, model_field)} "
-                            f"contradicts data.{model_field}="
-                            f"{getattr(data, model_field)}")
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(data=data, model=model, train=tcfg, **top)
@@ -211,14 +195,21 @@ def _file_sha(path: str) -> str:
         return _sha256(fh.read())
 
 
-def _write_manifest(outdir: str, command: str, exp: ExperimentConfig,
-                    options: dict, files: dict) -> str:
-    # the output directory is a location, not part of the experiment identity
-    config = exp.to_json()
+def _experiment(exp: ExperimentConfig) -> dict:
+    """``exp`` as a manifest records it: the output directory is a location,
+    not part of the experiment identity."""
+    config = asdict(exp)
     config.pop("out")
+    return config
+
+
+def _write_manifest(outdir: str, command: str, config: dict,
+                    options: dict, files: dict) -> str:
+    """Write ``<command>_manifest.json``; ``config`` is the configuration
+    that ran, seed included."""
     path = os.path.join(outdir, f"{command.replace('-', '_')}_manifest.json")
     doc = {"command": command,
-           "seed": exp.seed,
+           "seed": config["seed"],
            "config": config,
            "config_sha256": _sha256(_canonical(config, path).encode()),
            "options": options,
@@ -257,6 +248,16 @@ def _load_model(path: str) -> FremureModel:
         raise ContractError(f"{path}: {exc}") from exc
 
 
+def _read_split(path: str, cfg: ModelConfig):
+    """The records of the JSONL file ``path`` as their `clip_split` for
+    ``cfg``; a ContractError names the file."""
+    records = read_jsonl(path)
+    try:
+        return clip_split(records, cfg)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+
+
 def _mr_table(scores: dict, ks) -> str:
     cells = [f"mR@{k}={scores['mean_recall'][k]:.4f}" for k in ks]
     cells += [f"R@{k}={scores['recall'][k]:.4f}" for k in ks]
@@ -281,7 +282,7 @@ def cmd_gen_data(exp: ExperimentConfig, args) -> int:
     _write_json(prior_path, prior)
     files = {os.path.basename(p): _file_sha(p)
              for p in (train_path, test_path, prior_path)}
-    _write_manifest(exp.out, "gen-data", exp, {}, files)
+    _write_manifest(exp.out, "gen-data", _experiment(exp), {}, files)
     print(f"wrote {len(train_recs)} train and {len(test_recs)} test records "
           f"to {exp.out}")
     return EXIT_OK
@@ -292,12 +293,12 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
     train_path = os.path.join(exp.out, "train.jsonl")
     test_path = os.path.join(exp.out, "test.jsonl")
     _require_files(train_path, test_path)
-    records = read_jsonl(train_path)
-    test_records = read_jsonl(test_path)
+    split = _read_split(train_path, exp.model)
+    test_split = _read_split(test_path, exp.model)
 
     tcfg = replace(exp.train, ks=args.k, constraint=args.constraint)
-    model, history = train(records, exp.model, tcfg, exp.seed,
-                           val_records=test_records)
+    model, history = train(split, exp.model, tcfg, exp.seed,
+                           val_records=test_split)
 
     header = ["epoch", "L_a", "L_s", "L_c", "reg"] + [f"mR@{k}" for k in tcfg.ks]
     rows = [[row[col] for col in header] for row in history]
@@ -308,7 +309,7 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
     _write_json(ckpt_path, checkpoint_dict(model, tcfg.epochs, exp.seed))
 
     files = {os.path.basename(p): _file_sha(p) for p in (metrics_path, ckpt_path)}
-    _write_manifest(exp.out, "train", exp,
+    _write_manifest(exp.out, "train", _experiment(replace(exp, train=tcfg)),
                     {"k": list(tcfg.ks), "constraint": tcfg.constraint}, files)
 
     if history:
@@ -318,7 +319,7 @@ def cmd_train(exp: ExperimentConfig, args) -> int:
         scores = {"mean_recall": {k: last[f"mR@{k}"] for k in tcfg.ks},
                   "recall": {k: last[f"R@{k}"] for k in tcfg.ks}}
     else:
-        scores = evaluate(model, test_records, tcfg.ks, tcfg.constraint,
+        scores = evaluate(model, test_split, tcfg.ks, tcfg.constraint,
                           seed=exp.seed)
     print(f"final  {_mr_table(scores, tcfg.ks)}")
     return EXIT_OK
@@ -332,8 +333,8 @@ def _uncertainty_rows(samples: dict) -> list:
 
 def cmd_eval(args) -> int:
     model = _load_model(args.checkpoint)
-    records = read_jsonl(args.data)
-    scores = evaluate(model, records, args.k, args.constraint, seed=args.seed)
+    split = _read_split(args.data, model.cfg)
+    scores = evaluate(model, split, args.k, args.constraint, seed=args.seed)
     _ensure_outdir(args.out)
     # encoded before any file is written, so a non-finite value leaves none
     samples_path = os.path.join(args.out, "eval_samples.jsonl")
@@ -366,29 +367,22 @@ def cmd_eval(args) -> int:
     with open(samples_path, "w") as fh:
         fh.writelines(samples)
 
-    exp = ExperimentConfig(model=model.cfg, seed=args.seed, out=args.out)
     files = {os.path.basename(p): _file_sha(p)
              for p in (report_path, csv_path, samples_path)}
-    _write_manifest(args.out, "eval", exp,
+    _write_manifest(args.out, "eval", {"model": asdict(model.cfg), "seed": args.seed},
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "k": list(args.k), "constraint": args.constraint}, files)
     print(_mr_table(scores, args.k))
     return EXIT_OK
 
 
-def _ablate_one(payload: dict) -> dict:
+def _ablate_one(job: dict) -> dict:
     """Train and score one (variant, seed) cell; runs in a worker process."""
-    exp = ExperimentConfig(
-        data=SyntheticConfig(**payload["data"]),
-        model=ModelConfig.from_json(payload["model"]),
-        train=TrainConfig(**payload["train"]),
-    )
-    tcfg = replace(exp.train, ks=tuple(payload["ks"]),
-                   constraint=payload["constraint"])
-    model, _ = train(payload["train_records"], exp.model, tcfg, payload["seed"])
-    scores = evaluate(model, payload["test_records"], tcfg.ks, tcfg.constraint,
-                      seed=payload["seed"])
-    return {"variant": payload["variant"], "seed": payload["seed"],
+    tcfg = job["train"]
+    model, _ = train(job["train_split"], job["model"], tcfg, job["seed"])
+    scores = evaluate(model, job["test_split"], tcfg.ks, tcfg.constraint,
+                      seed=job["seed"])
+    return {"variant": job["variant"], "seed": job["seed"],
             "mean_recall": {str(k): scores["mean_recall"][k] for k in tcfg.ks},
             "recall": {str(k): scores["recall"][k] for k in tcfg.ks}}
 
@@ -414,22 +408,18 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
     if unknown:
         raise ConfigError([f"unknown variant '{v}'" for v in unknown])
     seeds = [exp.seed + i for i in range(args.seeds_per_variant)]
-    records = read_jsonl(train_path)
-    test_records = read_jsonl(test_path)
+    # every variant keeps the data's widths, so one split serves them all
+    split = _read_split(train_path, exp.model)
+    test_split = _read_split(test_path, exp.model)
 
+    tcfg = replace(exp.train, ks=args.k, constraint=args.constraint)
     jobs = []
     for variant in args.variants:
-        over = dict(VARIANTS[variant])
-        flags = replace(AblationFlags(), **over)
-        mcfg = replace(exp.model, flags=flags)
+        mcfg = replace(exp.model, flags=replace(AblationFlags(), **VARIANTS[variant]))
         for seed in seeds:
-            jobs.append({"variant": variant, "seed": seed,
-                         "data": asdict(exp.data), "model": mcfg.to_json(),
-                         "train": {f.name: getattr(exp.train, f.name)
-                                   for f in fields(TrainConfig)
-                                   if f.name not in ("ks", "constraint")},
-                         "ks": list(args.k), "constraint": args.constraint,
-                         "train_records": records, "test_records": test_records})
+            jobs.append({"variant": variant, "seed": seed, "model": mcfg,
+                         "train": tcfg, "train_split": split,
+                         "test_split": test_split})
 
     workers = _worker_count(len(jobs))
     if workers > 1:
@@ -457,7 +447,7 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
     _write_json(raw_path, {"seeds": seeds, "results": results})
 
     files = {os.path.basename(p): _file_sha(p) for p in (table_path, raw_path)}
-    _write_manifest(exp.out, "ablate", exp,
+    _write_manifest(exp.out, "ablate", _experiment(replace(exp, train=tcfg)),
                     {"variants": list(args.variants), "seeds": seeds,
                      "k": list(args.k), "constraint": args.constraint}, files)
     for row in rows:
@@ -469,16 +459,11 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
     _ensure_outdir(exp.out)
     data_path = args.data or os.path.join(exp.out, "train.jsonl")
     _require_files(data_path)
-    records = read_jsonl(data_path)
-
     if args.checkpoint:
         model = _load_model(args.checkpoint)
     else:
-        mcfg = exp.model
-        if args.shared:
-            mcfg = replace(mcfg, flags=replace(mcfg.flags, decouple=False))
-        model = FremureModel(mcfg, nc.Rng(exp.seed).spawn(0))
-    split = clip_split(records, model.cfg)
+        model = FremureModel(exp.model, nc.Rng(exp.seed).spawn(0))
+    split = _read_split(data_path, model.cfg)
     opt = nc.Adam(model.parameters(), exp.train.lr, exp.train.beta1,
                   exp.train.beta2, exp.train.eps)
     root = nc.Rng(exp.seed)
@@ -489,7 +474,7 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
         clip = split.view(ci, ci + 1)
         report = grad_conflict(model, clip, root.spawn(step))
         doc = {"step": step}
-        doc.update(report.to_json())
+        doc.update(asdict(report))
         rows.append(doc)
         negative += sum(1 for v in report.cosines.values() if v < 0)
         # advance one optimization step so later reports see trained weights
@@ -505,15 +490,16 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
     lines = [_canonical(doc, out_path) + "\n" for doc in rows]
     with open(out_path, "w") as fh:
         fh.writelines(lines)
-    _write_manifest(exp.out, "diagnose", exp,
-                    {"steps": args.steps, "shared": bool(args.shared),
-                     "checkpoint": args.checkpoint, "data": data_path},
+    _write_manifest(exp.out, "diagnose", _experiment(exp),
+                    {"steps": args.steps, "checkpoint": args.checkpoint,
+                     "data": data_path},
                     {os.path.basename(out_path): _file_sha(out_path)})
-    if rows and not rows[0]["applicable"]:
+    if report.applicable:
+        print(f"{args.steps} steps over {report.shared_params} shared parameters, "
+              f"{negative} negative pairwise cosines")
+    else:
         print("decoupled model: gradient conflict not applicable "
               "(zero shared parameters)")
-    else:
-        print(f"{args.steps} steps, {negative} negative pairwise cosines")
     return EXIT_OK
 
 
@@ -585,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None,
                    help="records JSONL (default: <out>/train.jsonl)")
     p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--shared", action="store_true",
-                   help="force a shared trunk regardless of config flags")
     return parser
 
 

@@ -61,8 +61,6 @@ from . import numcore as nc
 from .errors import ContractError
 from .freqgate import FrequencyPrior
 
-RELATION_TYPES = ("attn", "spat", "cont")
-
 
 # ---------------------------------------------------------------------------
 # configuration and records
@@ -268,8 +266,9 @@ class Split:
         """The columns of ``records``, in their order. This is where records
         meet a model: a feature width other than ``raw_dim``, a label width
         other than ``counts`` gives, an attention label outside [0,
-        counts["attn"]) or a clip whose records are not contiguous raises
-        ContractError naming the record and the field; so do no records."""
+        counts["attn"]), a clip whose records are not contiguous or a second
+        record of one (clip, frame, subj, obj) raises ContractError naming
+        the record and the field; so do no records."""
         n = len(records)
         if not n:
             raise ContractError("no records")
@@ -297,6 +296,14 @@ class Split:
         resumed[starts] = True
         resumed[starts[np.unique(clip[starts], return_index=True)[1]]] = False
         check(resumed, lambda i: f"clip {clip[i]} resumes after other clips' records")
+        # a stable sort keeps equal keys in record order, so each key's first
+        # record stays unmarked
+        keys = np.column_stack([clip, ints["frame"], ints["subj"], ints["obj"]])
+        order = np.lexsort(keys.T[::-1])
+        repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+        duplicate = np.zeros(n, dtype=bool)
+        duplicate[order[1:][repeat]] = True
+        check(duplicate, lambda i: "repeats an earlier record's (clip, frame, subj, obj)")
         rows = {name: np.array([getattr(r, name) for r in records], np.float64
                                ).reshape(n, width) for name, width in widths.items()}
         return cls(starts=np.append(starts, n), **ints, **rows)

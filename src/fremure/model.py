@@ -123,9 +123,6 @@ class ModelConfig:
                     "lam": self.lam}
         return {}
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, doc: dict) -> "ModelConfig":
         """The config stored in a checkpoint. A missing field takes its
@@ -144,20 +141,25 @@ class ModelConfig:
             raise ContractError(f"malformed model config: {exc}")
 
 
-# JSON types accepted for a config field, by the type of its default
+def field_types(cls) -> dict:
+    """name -> type of every field of the config dataclass ``cls``: the type
+    of the field's default value."""
+    defaults = cls()
+    return {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+
+
+# JSON types accepted for a config field, by the field's type
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_json_types(cls, doc: dict, prefix: str):
-    defaults = cls()
-    for f in fields(cls):
-        kind = type(getattr(defaults, f.name))
-        if f.name not in doc or kind not in _JSON_TYPES:
+    for name, kind in field_types(cls).items():
+        if name not in doc or kind not in _JSON_TYPES:
             continue
-        value = doc[f.name]
+        value = doc[name]
         if not isinstance(value, _JSON_TYPES[kind]) or \
                 (isinstance(value, bool) and kind is not bool):
-            raise ContractError(f"model config field '{prefix}{f.name}' must be "
+            raise ContractError(f"model config field '{prefix}{name}' must be "
                                 f"{kind.__name__}, got {type(value).__name__}")
 
 
@@ -378,10 +380,6 @@ class ConflictReport:
     shared_params: int
     cosines: dict
 
-    def to_json(self) -> dict:
-        return {"applicable": self.applicable, "shared_params": self.shared_params,
-                "cosines": dict(self.cosines)}
-
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
@@ -492,7 +490,10 @@ def predict_clips(model: FremureModel, split: Split, rng: nc.Rng) -> Predictions
 
 def clip_split(records, cfg: ModelConfig) -> Split:
     """The `Split` of ``records`` in `group_clips` order, checked against
-    ``cfg``'s feature width and class counts."""
+    ``cfg``'s feature width and class counts; ``records`` itself if it is
+    such a Split already."""
+    if isinstance(records, Split):
+        return records
     return Split.of([rec for clip in group_clips(records) for rec in clip],
                     cfg.raw_dim, cfg.class_counts())
 
@@ -500,10 +501,10 @@ def clip_split(records, cfg: ModelConfig) -> Split:
 def evaluate(model: FremureModel, records, ks=(10, 20, 50), constraint: bool = True,
              seed: int = 0) -> dict:
     """Recall, mean recall and per-class recall at each K over the given
-    records, from packed forward passes (`predict_clips`) and one ranking of
-    every frame. "samples" maps "clip", "frame", "subj", "obj" and each
-    uncertainty value of those passes (see `Predictions`) to one value per
-    record, records in `group_clips` order."""
+    records (or their `clip_split`), from packed forward passes
+    (`predict_clips`) and one ranking of every frame. "samples" maps "clip",
+    "frame", "subj", "obj" and each uncertainty value of those passes (see
+    `Predictions`) to one value per record, records in `group_clips` order."""
     split = clip_split(records, model.cfg)
     pred = predict_clips(model, split, nc.Rng(seed))
     out = rank_recalls(pred.entries, pred.scores, pred.truth, ks, constraint,
@@ -550,8 +551,11 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
           val_records=None):
     """Adam training over clips, one clip per step, fully determined by
     (records, configs, seed). Returns (model, per-epoch history rows); with
-    validation records, each row also carries that epoch's mR@K and R@K."""
+    validation records, each row also carries that epoch's mR@K and R@K.
+    Either set of records may be given as its `clip_split`; both are checked
+    against ``mcfg`` before the first step."""
     split = clip_split(train_records, mcfg)
+    val = clip_split(val_records, mcfg) if val_records else None
     root = nc.Rng(seed)
     model = FremureModel(mcfg, root.spawn(0))
     model.set_priors(label_counts(split, mcfg))
@@ -577,8 +581,8 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
             opt.step()
         row = {"epoch": epoch}
         row.update({k: v / len(split) for k, v in sums.items()})
-        if val_records:
-            scores = evaluate(model, val_records, tcfg.ks, tcfg.constraint,
+        if val is not None:
+            scores = evaluate(model, val, tcfg.ks, tcfg.constraint,
                               seed=seed)
             for k in tcfg.ks:
                 row[f"mR@{k}"] = scores["mean_recall"][k]
@@ -593,7 +597,7 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
 
 def checkpoint_dict(model: FremureModel, epoch: int, seed: int) -> dict:
     return {
-        "config": model.cfg.to_json(),
+        "config": asdict(model.cfg),
         "priors": {t: model.priors[t].counts.tolist() for t in TYPES},
         "parameters": {k: p.data.tolist() for k, p in model.parameters().items()},
         "epoch": int(epoch),

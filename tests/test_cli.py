@@ -94,9 +94,14 @@ def test_parse_config_collects_every_problem():
 
 
 def test_parse_config_rejects_layout_contradiction():
-    with pytest.raises(ConfigError) as exc:
-        parse_config(BASE_CFG + "model.raw_dim = 99\n")
-    assert any("contradicts data.d" in p for p in exc.value.problems)
+    # the model's input width and class counts are the data's, so a file
+    # cannot set them at all, not even to the data's own values
+    for key, value in (("model.raw_dim", 99), ("model.raw_dim", 6),
+                       ("model.attn_classes", 4), ("model.spat_classes", 3),
+                       ("model.cont_classes", 5)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(BASE_CFG + f"{key} = {value}\n")
+        assert exc.value.problems == [f"unknown key '{key}'"]
 
 
 def test_parse_config_flags_section():
@@ -214,6 +219,54 @@ def test_train_non_finite_loss_aborts_with_code_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["train", "--config", cfg, "--out", outdir]) == 3
     assert "non-finite loss at epoch 0, step 1" in capsys.readouterr().err
+
+
+def test_train_manifest_records_the_ks_and_constraint_that_ran(tmp_path):
+    cfg, outdir = _gen(tmp_path)
+    assert main(["train", "--config", cfg, "--out", outdir,
+                 "--k", "5", "--constraint", "no"]) == 0
+    manifest = _json(os.path.join(outdir, "train_manifest.json"))
+    assert manifest["config"]["train"]["ks"] == [5]
+    assert manifest["config"]["train"]["constraint"] is False
+    assert manifest["options"] == {"k": [5], "constraint": False}
+    assert manifest["config"]["model"]["raw_dim"] == 6
+
+
+def test_train_names_the_file_whose_record_does_not_fit_the_model(tmp_path, capsys):
+    # test.jsonl is checked against the model before training starts
+    cfg, outdir = _gen(tmp_path)
+    path = os.path.join(outdir, "test.jsonl")
+    docs = _jsonl(path)
+    docs[4]["spat"].append(0)
+    Path(path).write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    assert main(["train", "--config", cfg, "--out", outdir]) == 1
+    r = docs[4]
+    assert (f"contract error: {path}: record (clip {r['clip']}, frame {r['frame']}, "
+            f"subj {r['subj']}, obj {r['obj']}): spat has 4 values, expected 3"
+            ) in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "metrics.csv"))
+
+
+@pytest.mark.parametrize("command, name", [("train", "train.jsonl"),
+                                           ("eval", "test.jsonl")])
+def test_duplicate_record_key_names_file_and_record(tmp_path, capsys, command, name):
+    cfg, outdir = _gen(tmp_path)
+    if command == "eval":
+        assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    path = os.path.join(outdir, name)
+    lines = Path(path).read_text().splitlines()
+    Path(path).write_text("\n".join(lines[:1] + lines) + "\n")
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--config", cfg, "--out", outdir]
+    else:
+        argv = ["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                "--data", path, "--out", str(tmp_path / "ev")]
+    assert main(argv) == 1
+    r = json.loads(lines[0])
+    assert (f"contract error: {path}: record (clip {r['clip']}, frame {r['frame']}, "
+            f"subj {r['subj']}, obj {r['obj']}): repeats an earlier record's "
+            f"(clip, frame, subj, obj)") in capsys.readouterr().err
 
 
 def _set(field, value):
@@ -339,6 +392,18 @@ def test_eval_writes_one_uncertainty_row_per_record(trained, tmp_path):
         assert all(np.isfinite(row[key]) for row in rows)
 
 
+def test_eval_manifest_records_the_checkpoint_config(trained, tmp_path):
+    _, outdir = trained
+    evaldir = str(tmp_path / "ev")
+    checkpoint = os.path.join(outdir, "checkpoint.json")
+    assert main(["eval", "--checkpoint", checkpoint, "--data",
+                 os.path.join(outdir, "test.jsonl"), "--out", evaldir,
+                 "--seed", "5"]) == 0
+    manifest = _json(os.path.join(evaldir, "eval_manifest.json"))
+    assert manifest["config"] == {"model": _json(checkpoint)["config"], "seed": 5}
+    assert manifest["seed"] == 5
+
+
 def test_eval_runs_one_forward_per_pack(tmp_path, monkeypatch):
     cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
@@ -396,7 +461,7 @@ def test_eval_class_count_mismatch_names_both_values(trained, tmp_path, capsys):
     assert rc == 1
     # dataset width vs model width, at the first record of that file
     first = docs[0]
-    assert (f"record (clip {first['clip']}, frame {first['frame']}, subj {first['subj']}, "
+    assert (f"{path}: record (clip {first['clip']}, frame {first['frame']}, subj {first['subj']}, "
             f"obj {first['obj']}): spat has 2 values, expected 3") in capsys.readouterr().err
 
 
@@ -542,6 +607,24 @@ def test_ablate_unknown_variant_fails_validation(tmp_path, capsys):
     assert "unknown variant 'banana'" in capsys.readouterr().err
 
 
+def test_ablate_worker_pool_writes_the_same_bytes_as_one_process(tmp_path, monkeypatch):
+    cfg, outdir = _gen(tmp_path)
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FREMURE_THREADS", threads)
+        assert main(["ablate", "--config", cfg, "--out", outdir, "--k", "5",
+                     "--constraint", "no", "--variants", "full+bayes,no-decouple",
+                     "--seeds-per-variant", "2"]) == 0
+        written[threads] = {name: Path(outdir, name).read_bytes()
+                            for name in ("ablation.json", "ablation.csv",
+                                         "ablate_manifest.json")}
+    assert written["1"] == written["2"]
+    manifest = json.loads(written["1"]["ablate_manifest.json"])
+    assert manifest["config"]["train"]["ks"] == [5]
+    assert manifest["config"]["train"]["constraint"] is False
+    assert manifest["config"]["train"]["epochs"] == 1
+
+
 def test_ablate_respects_worker_env_cap(tmp_path, monkeypatch):
     cfg, outdir = _gen(tmp_path, **{"train.epochs": 0})
     monkeypatch.setenv("FREMURE_THREADS", "2")
@@ -564,16 +647,23 @@ def test_variant_catalog_matches_contract():
 # ---------------------------------------------------------------------------
 
 
-def test_diagnose_shared_reports_bounded_cosines(tmp_path):
-    cfg, outdir = _gen(tmp_path)
+def test_diagnose_shared_reports_bounded_cosines(tmp_path, capsys):
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
     assert main(["diagnose", "--config", cfg, "--out", outdir,
-                 "--steps", "3", "--shared"]) == 0
+                 "--steps", "3"]) == 0
     rows = _jsonl(os.path.join(outdir, "diagnose.jsonl"))
+    assert f"3 steps over {rows[0]['shared_params']} shared parameters" in \
+        capsys.readouterr().out
     assert [row["step"] for row in rows] == [1, 2, 3]
     for row in rows:
         assert row["applicable"] and row["shared_params"] > 0
         assert set(row["cosines"]) == {"attn_spat", "attn_cont", "spat_cont"}
         assert all(-1.0 <= v <= 1.0 for v in row["cosines"].values())
+    manifest = _json(os.path.join(outdir, "diagnose_manifest.json"))
+    assert manifest["config"]["model"]["flags"]["decouple"] is False
+    assert set(manifest["options"]) == {"steps", "checkpoint", "data"}
+    # the config's flags.decouple is the one way to pick a shared trunk
+    assert main(["diagnose", "--config", cfg, "--out", outdir, "--shared"]) == 1
 
 
 def test_diagnose_decoupled_not_applicable(tmp_path, capsys):

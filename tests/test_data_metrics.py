@@ -13,6 +13,7 @@ from fremure import numcore as nc
 from fremure.cli import main
 from fremure.errors import ContractError
 from fremure.freqgate import compute_frequencies
+from fremure.model import TYPES
 
 # ---------------------------------------------------------------------------
 # config and generation
@@ -221,7 +222,7 @@ def test_block_generator_equals_record_by_record_draws():
         _same_records(train, want_train)
         _same_records(test, want_test)
         want_counts = _counts(want_train, cfg)
-        for t in dm.RELATION_TYPES:
+        for t in TYPES:
             assert counts[t].tolist() == want_counts[t].tolist()
     # both outcomes of every conditional draw were exercised
     for kind in ("extra_spat", "extra_cont", "flip_attn", "flip_spat", "flip_cont"):
@@ -284,7 +285,7 @@ def test_label_counts_equal_a_record_loop():
                 want["spat"] += rec.spat
                 want["cont"] += rec.cont
             got = _counts(records, cfg)
-            for t in dm.RELATION_TYPES:
+            for t in TYPES:
                 assert got[t].dtype == np.float64
                 assert got[t].tolist() == want[t].tolist(), (i, t)
 

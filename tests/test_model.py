@@ -4,6 +4,7 @@ training determinism, and checkpoints."""
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -285,21 +286,21 @@ class TestConfig:
     def test_round_trips_through_json(self):
         cfg = _small_cfg(flags=M.AblationFlags(decouple=False, head="bayesian"),
                          multilabel_loss="margin", tau=0.0)
-        back = M.ModelConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        back = M.ModelConfig.from_json(json.loads(json.dumps(asdict(cfg))))
         assert back == cfg
 
     @pytest.mark.parametrize("key, value", [
         ("d", "8"), ("d", 8.0), ("sigma_min", True), ("window_mode", 1),
         ("flags.decouple", 1), ("flags.head", None)])
     def test_from_json_names_a_field_of_the_wrong_type(self, key, value):
-        doc = _small_cfg().to_json()
+        doc = asdict(_small_cfg())
         section, name = (doc["flags"], key[6:]) if key.startswith("flags.") else (doc, key)
         section[name] = value
         with pytest.raises(ContractError, match=f"model config field '{key}' must be"):
             M.ModelConfig.from_json(doc)
 
     def test_from_json_takes_an_integer_for_a_float_field(self):
-        doc = _small_cfg().to_json()
+        doc = asdict(_small_cfg())
         doc["tau"] = 0
         assert M.ModelConfig.from_json(doc) == _small_cfg(tau=0.0)
 
@@ -474,7 +475,7 @@ class TestConflict:
         assert all(-1.0 <= v <= 1.0 for v in report.cosines.values())
         trunk = model.trunks["shared"].parameters().values()
         assert report.shared_params == sum(p.data.size for p in trunk)
-        assert report.to_json()["applicable"] is True
+        assert report.applicable is True
 
     def test_complementary_labels_drive_antiparallel_gradients(self):
         # spat and cont heads share tiny weights; cont labels are the exact
@@ -587,6 +588,34 @@ class TestTraining:
                           7, val_records=test)
         assert {"epoch", "L_a", "L_s", "L_c", "reg", "mR@5", "mR@10",
                 "R@5", "R@10"} == set(hist[0])
+
+    def test_validation_records_are_checked_before_the_first_step(self, monkeypatch):
+        train, test, _ = self._records()
+        test[1].spat = test[1].spat + [0]
+
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(M.FremureModel, "total_loss", step)
+        r = test[1]
+        with pytest.raises(ContractError, match=rf"record \(clip {r.clip}, frame "
+                           rf"{r.frame}, subj {r.subj}, obj {r.obj}\): spat has 5 values"):
+            M.train(train, _small_cfg(), M.TrainConfig(epochs=1), 7, val_records=test)
+
+    def test_validation_split_is_built_once(self, monkeypatch):
+        train, test, _ = self._records()
+        built = []
+        of = Split.of.__func__
+
+        def counting(cls, records, raw_dim, counts):
+            built.append(len(records))
+            return of(cls, records, raw_dim, counts)
+
+        monkeypatch.setattr(Split, "of", classmethod(counting))
+        _, hist = M.train(train, _small_cfg(), M.TrainConfig(epochs=3, ks=(5,)), 7,
+                          val_records=test)
+        assert len(hist) == 3 and "mR@5" in hist[2]
+        assert built == [len(train), len(test)]
 
 
 # sha256 of every parameter's bytes after 20 Adam steps at a one-window

@@ -2,9 +2,9 @@
 names. ``bench/tracing.py`` wraps functions by name, so a renamed one would
 make ``bench/run.py --trace 1`` fail or read 0; ``bench/checks.py`` reads the
 probabilities that ``FremureModel.forward`` returns and requires them in
-[0, 1], with attention rows summing to 1. Every function, class and method
-in ``src/fremure`` must be used by the program or the benchmark, not only by
-the tests."""
+[0, 1], with attention rows summing to 1. Every function, class, method and
+module-level constant in ``src/fremure`` must be used by the program or the
+benchmark, not only by the tests."""
 
 import ast
 import importlib.util
@@ -120,9 +120,9 @@ def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
 
 
 def _definitions(paths) -> dict:
-    """name -> {(path, first line, last line)} of every module-level function
-    and class and every method, dunder methods aside (the language calls
-    those)."""
+    """name -> {(path, first line, last line)} of every module-level function,
+    class and constant and every method, dunder names aside (the language
+    reads those)."""
     out = {}
     for path in paths:
         for node in ast.parse(path.read_text()).body:
@@ -130,10 +130,17 @@ def _definitions(paths) -> dict:
             if isinstance(node, ast.ClassDef):
                 members += node.body
             for item in members:
-                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and \
-                        not re.fullmatch(r"__\w+__", item.name):
-                    out.setdefault(item.name, set()).add(
-                        (path, item.lineno, item.end_lineno))
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    names = [item.name]
+                elif item is node and isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                for name in names:
+                    if not re.fullmatch(r"__\w+__", name):
+                        out.setdefault(name, set()).add(
+                            (path, item.lineno, item.end_lineno))
     return out
 
 
