@@ -29,7 +29,7 @@ from .data_metrics import (SyntheticConfig, generate_dataset, read_jsonl,
 # the benchmark's tracer (bench/tracing.py) wraps this name in this module
 from .data_metrics import group_clips  # noqa: F401
 from .errors import ConfigError, ContractError, NumericalError
-from .freqgate import compute_frequencies
+from .freqgate import FrequencyPrior
 from .model import (TYPES, AblationFlags, FremureModel, ModelConfig,
                     TrainConfig, checkpoint_dict, clip_split, evaluate,
                     field_types, grad_conflict, model_from_checkpoint, train)
@@ -277,7 +277,7 @@ def cmd_gen_data(exp: ExperimentConfig, args) -> int:
     write_jsonl(test_recs, test_path)
     prior_path = os.path.join(exp.out, "prior.json")
     prior = {t: {"counts": counts[t].tolist(),
-                 "frequencies": compute_frequencies(counts[t]).f.tolist()}
+                 "frequencies": FrequencyPrior(counts[t]).f.tolist()}
              for t in TYPES}
     _write_json(prior_path, prior)
     files = {os.path.basename(p): _file_sha(p)
@@ -461,8 +461,12 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
     _require_files(data_path)
     if args.checkpoint:
         model = _load_model(args.checkpoint)
+        # the checkpoint's model runs, not the file's model section
+        config = {"model": asdict(model.cfg), "train": asdict(exp.train),
+                  "seed": exp.seed}
     else:
         model = FremureModel(exp.model, nc.Rng(exp.seed).spawn(0))
+        config = _experiment(exp)
     split = _read_split(data_path, model.cfg)
     opt = nc.Adam(model.parameters(), exp.train.lr, exp.train.beta1,
                   exp.train.beta2, exp.train.eps)
@@ -490,7 +494,7 @@ def cmd_diagnose(exp: ExperimentConfig, args) -> int:
     lines = [_canonical(doc, out_path) + "\n" for doc in rows]
     with open(out_path, "w") as fh:
         fh.writelines(lines)
-    _write_manifest(exp.out, "diagnose", _experiment(exp),
+    _write_manifest(exp.out, "diagnose", config,
                     {"steps": args.steps, "checkpoint": args.checkpoint,
                      "data": data_path},
                     {os.path.basename(out_path): _file_sha(out_path)})
@@ -513,13 +517,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def _parse_k(raw: str):
+def _parse_list(option: str, raw: str, kind: type = str) -> list:
+    """The comma-separated values of ``raw`` as ``kind``; a ConfigError
+    naming ``option`` when none is given or a value repeats."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     try:
-        ks = tuple(int(p, 10) for p in parts)
+        values = [kind(p) for p in parts]
     except ValueError:
-        raise ConfigError([f"--k: cannot parse '{raw}' as integers"])
-    if not ks or any(k < 1 for k in ks):
+        raise ConfigError([f"{option}: cannot parse '{raw}' as {kind.__name__} values"])
+    if not values:
+        raise ConfigError([f"{option}: no value in '{raw}'"])
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigError([f"{option}: {repeated[0]!r} is given more than once"])
+    return values
+
+
+def _parse_k(raw: str):
+    ks = tuple(_parse_list("--k", raw, int))
+    if any(k < 1 for k in ks):
         raise ConfigError(["--k needs positive integers"])
     return ks
 
@@ -585,7 +601,7 @@ def _dispatch(args) -> int:
         if args.seeds_per_variant < 1:
             raise ConfigError(["--seeds-per-variant must be >= 1"])
     if getattr(args, "variants", None) is not None:
-        args.variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+        args.variants = _parse_list("--variants", args.variants)
 
     if args.command == "eval":
         return cmd_eval(args)

@@ -531,10 +531,15 @@ def mean_recall_at_k(predictions: dict, ground_truth: dict, k: int,
     return out["mean_recall"][k], out["per_class"][k]
 
 
-def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior,
-                                head_mass: float = 0.3, tail_share: float = 0.3) -> dict:
+# the head bucket holds this share of the frequency mass, and the tail bucket
+# this share of the classes
+HEAD_MASS = 0.3
+TAIL_SHARE = 0.3
+
+
+def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior) -> dict:
     """Mean recall over the head bucket (smallest class set holding the top
-    `head_mass` of frequency mass) and the tail bucket (the `tail_share`
+    `HEAD_MASS` of frequency mass) and the tail bucket (the `TAIL_SHARE`
     least frequent classes, rounded up). A bucket with no class in
     `per_class_recalls` (none of its classes occurs in the ground truth) has
     no mean and reads None."""
@@ -544,9 +549,9 @@ def frequency_stratified_report(per_class_recalls: dict, prior: FrequencyPrior,
     for c in by_mass:
         head.append(c)
         acc += f[c]
-        if acc >= head_mass:
+        if acc >= HEAD_MASS:
             break
-    n_tail = max(1, math.ceil(tail_share * f.size))
+    n_tail = max(1, math.ceil(TAIL_SHARE * f.size))
     tail = sorted(range(f.size), key=lambda c: (f[c], c))[:n_tail]
 
     def bucket_mean(classes):

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError
-from .freqgate import FrequencyGate, frequency_correct, gate_values, uniform_prior
+from .freqgate import (INIT_SCALE, FrequencyGate, FrequencyPrior, frequency_correct,
+                       gate_values)
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +47,7 @@ class BranchEncoder(nc.Module):
     enters only through the positional encoding added by the global stage.
     """
 
-    def __init__(self, d: int, h: int, rng: nc.Rng, ffn_mult: int = 2):
-        if d % h != 0:
-            raise ContractError(f"model dim {d} not divisible by head count {h}")
+    def __init__(self, d: int, h: int, rng: nc.Rng, ffn_mult: int):
         self.h = h
         # no bias on q/k: a uniform key shift cancels inside the row softmax,
         # so a key bias would be an exactly flat (untrainable) direction
@@ -117,8 +116,8 @@ class FusionGate(nc.Module):
     neither branch dominates before training.
     """
 
-    def __init__(self, d: int, n_classes: int, rng: nc.Rng, init_scale: float = 1e-2):
-        self.w = nc.Tensor(rng.uniform_range(-init_scale, init_scale, (2 * d + n_classes, d)),
+    def __init__(self, d: int, n_classes: int, rng: nc.Rng):
+        self.w = nc.Tensor(rng.uniform_range(-INIT_SCALE, INIT_SCALE, (2 * d + n_classes, d)),
                            requires_grad=True)
         self.b = nc.Tensor(np.zeros(d), requires_grad=True)
 
@@ -141,9 +140,7 @@ def gated_mix(h: nc.Tensor, t: nc.Tensor, f: np.ndarray, w, b) -> nc.Tensor:
 
 def pe_at(positions, d: int) -> np.ndarray:
     """Sinusoidal encoding at the given absolute positions: even columns
-    sin(pos / 10000^(2i/d)), odd columns the matching cos."""
-    if d % 2 != 0:
-        raise ContractError("positional encoding dimension must be even")
+    sin(pos / 10000^(2i/d)), odd columns the matching cos; d is even."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 1)
     rates = 10000.0 ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     angles = positions * rates
@@ -155,21 +152,12 @@ def pe_at(positions, d: int) -> np.ndarray:
 
 @dataclass
 class WindowConfig:
-    """Sliding-window layout for the global branch."""
-    w: int = 4
-    s: int = 2
-    mode: str = "average"
-
-    def __post_init__(self):
-        if self.w < 1:
-            raise ContractError("window length must be >= 1")
-        if self.s < 1:
-            raise ContractError("window stride must be >= 1")
-        if self.s > self.w:
-            raise ContractError("stride must not exceed window length "
-                                "(every position must fall in some window)")
-        if self.mode not in ("average", "triangular"):
-            raise ContractError(f"unknown window weighting mode '{self.mode}'")
+    """Sliding-window layout for the global branch: window length, stride
+    and weighting mode ("average" or "triangular"), as `ModelConfig` holds
+    and checks them."""
+    w: int
+    s: int
+    mode: str
 
 
 def window_starts(length: int, w: int, s: int) -> list:
@@ -297,18 +285,18 @@ def _inverse(blocks) -> np.ndarray | None:
     return None if (order[1:] > order[:-1]).all() else np.argsort(order)
 
 
-def clip_layout(frames, pair_ids, clips=None) -> ClipLayout:
+def clip_layout(frames, pair_ids, clips) -> ClipLayout:
     """Group rows by frame (ascending row index inside a frame) and by pair
     track (ascending frame inside a track).
 
-    ``clips`` is a per-row clip key (None: every row is one clip's). Rows of
-    different clips never share a frame or a track, so attention and windows
-    stay inside a clip; frames with as many rows, and tracks over the same
-    frame numbers, still stack into one block across clips.
+    ``clips`` is a per-row clip key. Rows of different clips never share a
+    frame or a track, so attention and windows stay inside a clip; frames
+    with as many rows, and tracks over the same frame numbers, still stack
+    into one block across clips.
     """
     frames = np.asarray(frames, dtype=np.int64)
     pair_ids = np.asarray(pair_ids, dtype=np.int64)
-    clips = np.zeros_like(frames) if clips is None else np.asarray(clips, dtype=np.int64)
+    clips = np.asarray(clips, dtype=np.int64)
     by_frame = _split_runs(np.lexsort((frames, clips)), clips, frames)
     by_pair = _split_runs(np.lexsort((frames, pair_ids, clips)), clips, pair_ids)
     track_frames = [tuple(frames[idx].tolist()) for idx in by_pair]
@@ -337,13 +325,13 @@ class Dpeg(nc.Module):
     """
 
     def __init__(self, d: int, h: int, n_classes: int, rng: nc.Rng,
-                 window: WindowConfig | None = None, ffn_mult: int = 2,
-                 dual_branch: bool = True, frequency: bool = True):
+                 window: WindowConfig, ffn_mult: int, dual_branch: bool,
+                 frequency: bool):
         self.d = d
         self.n_classes = n_classes
         self.dual_branch = dual_branch
         self.frequency = frequency
-        self.window = window if window is not None else WindowConfig()
+        self.window = window
         self.head_enc = BranchEncoder(d, h, rng.spawn(0), ffn_mult)
         if dual_branch:
             self.tail_enc = BranchEncoder(d, h, rng.spawn(1), ffn_mult)
@@ -381,7 +369,7 @@ def encode_stacked(dpegs, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Te
     first = dpegs[0]
     tasks, d = len(dpegs), first.d
     if not first.frequency:
-        priors = [uniform_prior(dp.n_classes) for dp in dpegs]
+        priors = [FrequencyPrior(np.ones(dp.n_classes)) for dp in dpegs]
     for dp, prior in zip(dpegs, priors):
         if prior.n_classes != dp.n_classes:
             raise ContractError(f"prior has {prior.n_classes} classes, "

@@ -13,13 +13,17 @@ import numpy as np
 from . import numcore as nc
 from .errors import ContractError
 
-DEFAULT_EPS = 1e-6
+# the smoothing term of log(1/(f + eps))
+EPS = 1e-6
+# half-width of the uniform initial weights of the frequency and fusion gates
+INIT_SCALE = 1e-2
 
 
 class FrequencyPrior:
-    """Normalized class frequencies f_k = n_k / sum(n) with smoothing eps."""
+    """Normalized class frequencies f_k = n_k / sum(n), smoothed by EPS in
+    the gate input."""
 
-    def __init__(self, counts, eps: float = DEFAULT_EPS):
+    def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
             raise ContractError("counts must be a non-empty 1-d array")
@@ -30,7 +34,6 @@ class FrequencyPrior:
             raise ContractError("at least one class count must be positive")
         self.counts = counts
         self.f = counts / total
-        self.eps = float(eps)
 
     @property
     def n_classes(self) -> int:
@@ -38,16 +41,7 @@ class FrequencyPrior:
 
     def log_inverse(self) -> np.ndarray:
         """log(1/(f_k + eps)): the gate's pre-activation input, finite for f_k = 0."""
-        return np.log(1.0 / (self.f + self.eps))
-
-
-def compute_frequencies(counts, eps: float = DEFAULT_EPS) -> FrequencyPrior:
-    return FrequencyPrior(counts, eps=eps)
-
-
-def uniform_prior(n_classes: int, eps: float = DEFAULT_EPS) -> FrequencyPrior:
-    """Flat prior used when the frequency pathway is ablated."""
-    return FrequencyPrior(np.ones(n_classes), eps=eps)
+        return np.log(1.0 / (self.f + EPS))
 
 
 class FrequencyGate(nc.Module):
@@ -57,8 +51,8 @@ class FrequencyGate(nc.Module):
     near 0.5 and applies no correction bias.
     """
 
-    def __init__(self, n_classes: int, d: int, rng: nc.Rng, init_scale: float = 1e-2):
-        self.w = nc.Tensor(rng.uniform_range(-init_scale, init_scale, (n_classes, d)),
+    def __init__(self, n_classes: int, d: int, rng: nc.Rng):
+        self.w = nc.Tensor(rng.uniform_range(-INIT_SCALE, INIT_SCALE, (n_classes, d)),
                            requires_grad=True)
         self.b = nc.Tensor(np.zeros(d), requires_grad=True)
 

@@ -32,8 +32,6 @@ from .freqgate import FrequencyPrior
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-MODES = ("single", "multi")
-
 
 @dataclass
 class UncertaintyReport:
@@ -45,14 +43,9 @@ class UncertaintyReport:
     epistemic_rows: np.ndarray
 
 
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ContractError(f"label mode must be one of {MODES}, got '{mode}'")
-
-
 def _activate(logits: nc.Tensor, mode: str) -> nc.Tensor:
     """Probabilities from logits: softmax (single) or sigmoid (multi)."""
-    return nc.softmax(logits, axis=-1) if mode == "single" else nc.sigmoid(logits)
+    return nc.softmax(logits) if mode == "single" else nc.sigmoid(logits)
 
 
 def entropy_rows(logits: np.ndarray, mode: str) -> np.ndarray:
@@ -72,7 +65,9 @@ class Head(nc.Module):
     """What the three heads share. A head class defines only
     ``logits_and_variance(z, rng, training)``: its logits for embeddings z,
     (d,) or (N, d), and its aleatoric variance, per row or one value for
-    every row."""
+    every row. Its label ``mode`` is "single" or "multi"; the model takes
+    each task's from ``model.TYPE_MODES``, and ``model.ModelConfig`` holds
+    and checks every other setting a head takes."""
 
     def predict(self, z: nc.Tensor, rng: nc.Rng | None = None,
                 training: bool = False):
@@ -91,8 +86,7 @@ class Head(nc.Module):
 class LinearHead(Head):
     """Plain logits head; the degenerate reference for the sampling head."""
 
-    def __init__(self, d: int, n_classes: int, rng: nc.Rng, mode: str = "single"):
-        _check_mode(mode)
+    def __init__(self, d: int, n_classes: int, rng: nc.Rng, mode: str):
         self.lin = nc.Linear(d, n_classes, rng)
         self.mode = mode
 
@@ -118,11 +112,8 @@ class BayesianHead(Head):
     degenerate case bit-equal to the linear head and independent of S.
     """
 
-    def __init__(self, d: int, n_classes: int, rng: nc.Rng, s_train: int = 5,
-                 s_eval: int = 20, mode: str = "single"):
-        _check_mode(mode)
-        if s_train < 1 or s_eval < 1:
-            raise ContractError("sample counts must be >= 1")
+    def __init__(self, d: int, n_classes: int, rng: nc.Rng, mode: str,
+                 s_train: int, s_eval: int):
         self.mu = nc.Linear(d, n_classes, rng.spawn(0))
         self.logvar = nc.Linear(d, n_classes, rng.spawn(1))
         self.s_train = s_train
@@ -144,7 +135,7 @@ class BayesianHead(Head):
         eps = nc.Tensor(rng.normals((s,) + mu.shape))
         draws = mu + eps * sigma                # (s, ..., C) by broadcast
         if self.mode == "single":
-            return nc.log_sum_exp(nc.log_softmax(draws, axis=-1), axis=0), variance
+            return nc.log_sum_exp(nc.log_softmax(draws), axis=0), variance
         log_p = nc.log_sum_exp(-nc.softplus(-draws), axis=0)
         log_q = nc.log_sum_exp(-nc.softplus(draws), axis=0)
         return log_p - log_q, variance
@@ -166,14 +157,8 @@ class GmmPlusHead(Head):
     under sigma_target^2, pressing rare-class components to stay wide.
     """
 
-    def __init__(self, d: int, n_classes: int, rng: nc.Rng, k: int = 3,
-                 sigma_min: float = 1e-3, sigma_target: float = 0.1,
-                 tau: float = 0.01, lam: float = 0.1, mode: str = "single"):
-        _check_mode(mode)
-        if k < 1:
-            raise ContractError("component count K must be >= 1")
-        if sigma_min <= 0:
-            raise ContractError("sigma_min must be positive")
+    def __init__(self, d: int, n_classes: int, rng: nc.Rng, mode: str, k: int,
+                 sigma_min: float, sigma_target: float, tau: float, lam: float):
         self.proj = nc.Linear(d, n_classes, rng.spawn(0))
         self.means = nc.Tensor(rng.spawn(1).uniform_range(-1.0, 1.0, (n_classes, k)),
                                requires_grad=True)
@@ -192,7 +177,7 @@ class GmmPlusHead(Head):
         return self.sigma_min + nc.softplus(self.rho)
 
     def mixture_weights(self) -> np.ndarray:
-        return nc.softmax(self.mix, axis=-1).data
+        return nc.softmax(self.mix).data
 
     def perturbed_means(self, rng: nc.Rng | None, training: bool) -> nc.Tensor:
         """Component means, plus tau-scaled Gaussian noise during training.
@@ -214,7 +199,7 @@ class GmmPlusHead(Head):
         means = self.perturbed_means(rng, training)
         var = self.variances()
         log_pdf = -0.5 * (LOG_2PI + nc.log(var)) - (scores - means) ** 2.0 / (2.0 * var)
-        log_pi = nc.log_softmax(self.mix, axis=-1)
+        log_pi = nc.log_softmax(self.mix)
         logits = nc.log_sum_exp(log_pi + log_pdf, axis=-1) + self.bias
         # class-level mixture variances: the same for every sample in a batch
         pi = self.mixture_weights()
@@ -238,9 +223,9 @@ class GmmPlusHead(Head):
 def build_head(kind: str, d: int, n_classes: int, rng: nc.Rng, mode: str,
                **kwargs) -> Head:
     if kind == "linear":
-        return LinearHead(d, n_classes, rng, mode=mode)
+        return LinearHead(d, n_classes, rng, mode)
     if kind == "bayesian":
-        return BayesianHead(d, n_classes, rng, mode=mode, **kwargs)
+        return BayesianHead(d, n_classes, rng, mode, **kwargs)
     if kind == "gmm_plus":
-        return GmmPlusHead(d, n_classes, rng, mode=mode, **kwargs)
+        return GmmPlusHead(d, n_classes, rng, mode, **kwargs)
     raise ContractError(f"unknown head kind '{kind}'")

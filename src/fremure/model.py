@@ -33,7 +33,7 @@ from .data_metrics import Split, group_clips, label_counts, rank_recalls
 from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
 from .errors import ContractError, NumericalError
-from .freqgate import FrequencyPrior, compute_frequencies
+from .freqgate import FrequencyPrior
 from .heads import build_head
 from .numcore import Tensor
 
@@ -178,7 +178,7 @@ def loss_attention(logits: Tensor, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise ContractError(f"target outside [0, {n})")
     rows = tuple(np.indices(targets.shape))     # none for (C,) logits
-    return -nc.log_softmax(logits, axis=-1)[rows + (targets,)].mean()
+    return -nc.log_softmax(logits)[rows + (targets,)].mean()
 
 
 def loss_multilabel_bce(logits: Tensor, targets) -> Tensor:
@@ -239,9 +239,9 @@ class _Trunk(nc.Module):
     """Input projection followed by the pair-encoding stack. A model's trunks
     always run together, as one batched pass (``FremureModel._embed``)."""
 
-    def __init__(self, raw_dim: int, cfg: ModelConfig, n_classes: int, rng: nc.Rng):
+    def __init__(self, cfg: ModelConfig, n_classes: int, rng: nc.Rng):
         window = WindowConfig(cfg.window_w, cfg.window_s, cfg.window_mode)
-        self.proj = nc.Linear(raw_dim, cfg.d, rng.spawn(0))
+        self.proj = nc.Linear(cfg.raw_dim, cfg.d, rng.spawn(0))
         self.dpeg = Dpeg(cfg.d, cfg.h, n_classes, rng.spawn(1), window,
                          cfg.ffn_mult, cfg.flags.dual_branch, cfg.flags.frequency)
 
@@ -254,11 +254,11 @@ class FremureModel(nc.Module):
         self.cfg = cfg
         counts = cfg.class_counts()
         if cfg.flags.decouple:
-            self.trunks = {t: _Trunk(cfg.raw_dim, cfg, counts[t], rng.spawn(i))
+            self.trunks = {t: _Trunk(cfg, counts[t], rng.spawn(i))
                            for i, t in enumerate(TYPES)}
         else:
             total = sum(counts.values())
-            self.trunks = {"shared": _Trunk(cfg.raw_dim, cfg, total, rng.spawn(0))}
+            self.trunks = {"shared": _Trunk(cfg, total, rng.spawn(0))}
         self.heads = {t: build_head(cfg.flags.head, cfg.d, counts[t],
                                     rng.spawn(3 + i), TYPE_MODES[t],
                                     **cfg.head_kwargs())
@@ -273,8 +273,8 @@ class FremureModel(nc.Module):
             if got.shape != (expected[t],):
                 raise ContractError(f"{t} counts have shape {got.shape}, "
                                     f"expected ({expected[t]},)")
-        self.priors = {t: compute_frequencies(counts[t]) for t in TYPES}
-        self.global_prior = compute_frequencies(
+        self.priors = {t: FrequencyPrior(counts[t]) for t in TYPES}
+        self.global_prior = FrequencyPrior(
             np.concatenate([self.priors[t].counts for t in TYPES]))
 
     # priors live outside the parameter tree; Module.parameters would otherwise
@@ -498,8 +498,7 @@ def clip_split(records, cfg: ModelConfig) -> Split:
                     cfg.raw_dim, cfg.class_counts())
 
 
-def evaluate(model: FremureModel, records, ks=(10, 20, 50), constraint: bool = True,
-             seed: int = 0) -> dict:
+def evaluate(model: FremureModel, records, ks, constraint: bool, seed: int) -> dict:
     """Recall, mean recall and per-class recall at each K over the given
     records (or their `clip_split`), from packed forward passes
     (`predict_clips`) and one ranking of every frame. "samples" maps "clip",

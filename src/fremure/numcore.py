@@ -222,32 +222,18 @@ def pow_(a, exponent: float) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def matmul(a, b, scale: float | None = None) -> Tensor:
-    """Matrix product with numpy semantics: 1-D operands act as row/column
-    vectors with the extra axis dropped from the result; higher ranks batch.
-    When `scale` is given the product is multiplied by that constant."""
+def matmul(a, b) -> Tensor:
+    """Matrix product of operands of two or more axes, with numpy
+    broadcasting of the leading (batch) axes."""
     a, b = _wrap(a), _wrap(b)
     out = a.data @ b.data
-    if scale is not None:
-        out = out * scale
-    a_vec = a.data.ndim == 1
-    b_vec = b.data.ndim == 1
 
     def backward(g):
-        g2 = np.asarray(g)
-        if scale is not None:
-            g2 = g2 * scale
-        if b_vec:
-            g2 = np.expand_dims(g2, -1)
-        if a_vec:
-            g2 = np.expand_dims(g2, -2)
-        a2 = np.expand_dims(a.data, 0) if a_vec else a.data
-        b2 = np.expand_dims(b.data, -1) if b_vec else b.data
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape)
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(b.data.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _make(out, (a, b), backward)
@@ -390,25 +376,25 @@ def softplus(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(out, (a,), backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    out = a.data.mean(axis=axis)
     count = a.data.size / out.size
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape) / count,)
 
@@ -479,8 +465,8 @@ Tensor.__neg__ = lambda self: neg(self)
 Tensor.__pow__ = lambda self, exponent: pow_(self, exponent)
 Tensor.__matmul__ = lambda self, other: matmul(self, other)
 Tensor.__getitem__ = lambda self, index: getitem(self, index)
-Tensor.sum = lambda self, axis=None, keepdims=False: sum_(self, axis, keepdims)
-Tensor.mean = lambda self, axis=None, keepdims=False: mean(self, axis, keepdims)
+Tensor.sum = lambda self, axis=None: sum_(self, axis)
+Tensor.mean = lambda self, axis=None: mean(self, axis)
 Tensor.reshape = lambda self, shape: reshape(self, shape)
 Tensor.transpose = lambda self, axes: transpose(self, axes)
 
@@ -495,60 +481,64 @@ def _axis_extent(data: np.ndarray, axis: int) -> int:
     return data.shape[axis]
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along `axis` with max subtraction.
+def softmax(a) -> Tensor:
+    """Softmax along the last axis with max subtraction.
 
     The shift is treated as a constant: softmax is shift invariant, so the
     gradient is unchanged and exact. Fused into one tape node with the
     analytic Jacobian-vector product.
     """
     a = _wrap(a)
-    if _axis_extent(a.data, axis) < 1:
+    if _axis_extent(a.data, -1) < 1:
         raise ContractError("softmax axis must have extent >= 1")
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
     return _make(out, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
+    """Log-softmax along the last axis, shifted by the max."""
     a = _wrap(a)
-    if _axis_extent(a.data, axis) < 1:
+    if _axis_extent(a.data, -1) < 1:
         raise ContractError("log_softmax axis must have extent >= 1")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(out)
 
     def backward(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - soft * g.sum(axis=-1, keepdims=True),)
 
     return _make(out, (a,), backward)
 
 
-def log_sum_exp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(x))) along `axis`, shifted by the max so nothing overflows."""
+def log_sum_exp(a, axis: int) -> Tensor:
+    """log(sum(exp(x))) along `axis`, which the result drops, shifted by the
+    max so nothing overflows."""
     a = _wrap(a)
     if _axis_extent(a.data, axis) < 1:
         raise ContractError("log_sum_exp axis must have extent >= 1")
     shift = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - shift)
     total = e.sum(axis=axis, keepdims=True)
-    kept = np.log(total) + shift
-    out = kept if keepdims else np.squeeze(kept, axis=axis)
+    out = np.squeeze(np.log(total) + shift, axis=axis)
     soft = e / total
 
     def backward(g):
-        gk = np.asarray(g) if keepdims else np.expand_dims(np.asarray(g), axis)
-        return (gk * soft,)
+        return (np.expand_dims(g, axis) * soft,)
 
     return _make(out, (a,), backward)
 
 
-def layer_norm(a, eps: float = 1e-5, residual=None) -> Tensor:
+# added to the variance in layer_norm, so a constant row normalizes to zeros
+LN_EPS = 1e-5
+
+
+def layer_norm(a, residual=None) -> Tensor:
     """Parameter-free normalization over the last axis: zero mean, unit variance.
 
     No learnable scale or shift. For output y and incoming gradient g, the
@@ -567,7 +557,7 @@ def layer_norm(a, eps: float = 1e-5, residual=None) -> Tensor:
     # gradient formula below is unaffected
     centered -= centered.sum(axis=-1, keepdims=True) / n
     var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     out = centered * inv
 
     def backward(g):
@@ -678,10 +668,8 @@ class Module:
 class Linear(Module):
     """Affine map x @ w + b with uniform Glorot-style init; bias optional."""
 
-    def __init__(self, n_in: int, n_out: int, rng: "Rng", scale: float | None = None,
-                 bias: bool = True):
-        if scale is None:
-            scale = math.sqrt(6.0 / (n_in + n_out))
+    def __init__(self, n_in: int, n_out: int, rng: "Rng", bias: bool = True):
+        scale = math.sqrt(6.0 / (n_in + n_out))
         self.w = Tensor(rng.uniform_range(-scale, scale, (n_in, n_out)), requires_grad=True)
         self.b = Tensor(np.zeros(n_out), requires_grad=True) if bias else None
 
@@ -789,10 +777,6 @@ class Rng:
             order[i], order[j] = order[j], order[i]
         return order
 
-    def categorical(self, pmf: np.ndarray, n: int = 1) -> np.ndarray:
-        """Inverse-CDF sampling from a probability vector."""
-        return categorical_from_uniforms(pmf, self.uniforms(n))
-
     def spawn(self, key: int) -> "Rng":
         # _mix64 on one Python int: the same bits without a numpy round trip
         z = (self.seed + (key + 1) * _GOLDEN) & _MASK64
@@ -826,8 +810,8 @@ class Adam:
     left the arena, and ``step`` refuses to run.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float, beta1: float, beta2: float,
+                 eps: float):
         self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1

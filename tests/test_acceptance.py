@@ -11,6 +11,7 @@ budget 30 minutes; median 149 s on the same machine)."""
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def test_criterion_1_full_model_gradients_match_finite_differences():
                                         s_train=2, s_eval=2)
     model.heads["spat"].logvar.b.data[:] = -1e9   # exp underflows to exactly 0
     model.heads["cont"] = fh.build_head("gmm_plus", cfg.d, 2, nc.Rng(6), "multi",
-                                        k=2, sigma_min=1e-3, tau=0.0, lam=0.1)
+                                        **replace(cfg, flags=fm.AblationFlags()).head_kwargs())
     n_params = sum(p.data.size for p in model.parameters().values())
 
     # h sits in the step-size plateau: at 1e-5 roundoff on coordinates with
@@ -92,7 +93,8 @@ def test_criterion_2_closed_form_values():
 
     # single-component unit-variance mixture evaluated at its own mean:
     # the class logit must be the standard normal log-density at zero
-    head = fh.GmmPlusHead(3, 1, nc.Rng(0), k=1, sigma_min=1e-3)
+    head = fh.build_head("gmm_plus", 3, 1, nc.Rng(0), "single",
+                         **fm.ModelConfig(k=1).head_kwargs())
     head.proj.w.data[:] = 0.0
     head.proj.b.data[:] = 0.0
     head.means.data[:] = 0.0
@@ -393,7 +395,8 @@ def test_criterion_8_sampling_head_variance_decays_inversely_with_draws():
     variance scales as 1/S: slope -1 in log-log, while the standard
     deviation itself falls with slope -1/2 (halving per fourfold S). Both
     slopes are printed; the variance slope carries the assertion."""
-    head = fh.BayesianHead(6, 4, nc.Rng(21), mode="multi")
+    cfg = fm.ModelConfig(flags=fm.AblationFlags(head="bayesian"))
+    head = fh.build_head("bayesian", 6, 4, nc.Rng(21), "multi", **cfg.head_kwargs())
     z = nc.Tensor(nc.Rng(22).normals((3, 6)))
     draws = (10, 100, 1000)
     stds = []

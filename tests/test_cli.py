@@ -686,6 +686,21 @@ def test_diagnose_can_start_from_checkpoint(tmp_path):
     assert row["applicable"]
 
 
+def test_diagnose_manifest_records_the_checkpoint_model(tmp_path):
+    # the file's model section differs from the checkpoint's in width and head
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    checkpoint = os.path.join(outdir, "checkpoint.json")
+    cfg = _cfg_file(tmp_path, **{"model.d": 12, "flags.head": "linear"})
+    assert main(["diagnose", "--config", cfg, "--out", outdir,
+                 "--checkpoint", checkpoint, "--steps", "1"]) == 0
+    config = _json(os.path.join(outdir, "diagnose_manifest.json"))["config"]
+    assert config["model"] == _json(checkpoint)["config"]
+    assert config["model"]["d"] == 8 and config["model"]["flags"]["head"] == "gmm_plus"
+    assert set(config) == {"model", "train", "seed"}
+    assert config["train"]["lr"] == 0.003 and config["seed"] == 11
+
+
 # ---------------------------------------------------------------------------
 # flag handling
 # ---------------------------------------------------------------------------
@@ -700,6 +715,30 @@ def test_bad_k_list_is_validation_error(tmp_path):
     cfg, outdir = _gen(tmp_path)
     assert main(["train", "--config", cfg, "--out", outdir, "--k", "5,zebra"]) == 1
     assert main(["train", "--config", cfg, "--out", outdir, "--k", "0"]) == 1
+
+
+def test_repeated_k_is_validation_error(tmp_path, capsys):
+    evaldir = tmp_path / "ev"
+    assert main(["eval", "--checkpoint", str(tmp_path / "none.json"), "--data",
+                 str(tmp_path / "none.jsonl"), "--out", str(evaldir),
+                 "--k", "10,10"]) == 1
+    assert "--k: 10 is given more than once" in capsys.readouterr().err
+    assert not evaldir.exists()
+
+
+def test_empty_variant_list_is_validation_error(tmp_path, capsys):
+    cfg, outdir = _gen(tmp_path)
+    assert main(["ablate", "--config", cfg, "--out", outdir, "--variants", ","]) == 1
+    assert "--variants: no value in ','" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "ablation.csv"))
+
+
+def test_repeated_variant_is_validation_error(tmp_path, capsys):
+    cfg, outdir = _gen(tmp_path)
+    assert main(["ablate", "--config", cfg, "--out", outdir, "--seeds-per-variant", "1",
+                 "--variants", "full+gmm,full+gmm"]) == 1
+    assert "--variants: 'full+gmm' is given more than once" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "ablation.csv"))
 
 
 def test_seed_flag_overrides_config(tmp_path):

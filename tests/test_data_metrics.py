@@ -12,7 +12,7 @@ from fremure import data_metrics as dm
 from fremure import numcore as nc
 from fremure.cli import main
 from fremure.errors import ContractError
-from fremure.freqgate import compute_frequencies
+from fremure.freqgate import FrequencyPrior
 from fremure.model import TYPES
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_degenerate_generator_repeats_features():
 def test_zipf_label_stream_matches_law():
     # the pure label stream: 1e5 draws from the rank-frequency law
     pmf = dm.zipf_pmf(10, 1.5)
-    labels = nc.Rng(123).categorical(pmf, n=100000)
+    labels = _categorical(nc.Rng(123), pmf, 100000)
     for k in range(10):
         emp = (labels == k).mean()
         se = math.sqrt(pmf[k] * (1 - pmf[k]) / labels.size)
@@ -125,6 +125,12 @@ def test_read_jsonl_bad_line_names_path_and_line(tmp_path, bad):
         dm.read_jsonl(path)
 
 
+def _categorical(rng, pmf, n=1):
+    """n class indices drawn from ``pmf`` by inverse CDF, one uniform each:
+    the draw the block generator makes for a label, one call at a time."""
+    return nc.categorical_from_uniforms(pmf, rng.uniforms(n))
+
+
 def _reference_split(cfg, n_clips, clip_base, protos, rng, taken):
     """The generator as one record at a time, every draw a one-element Rng
     call: the oracle for the block generator. `taken` counts the outcome of
@@ -134,17 +140,17 @@ def _reference_split(cfg, n_clips, clip_base, protos, rng, taken):
     for ci in range(n_clips):
         for t in range(cfg.frames):
             for p in range(cfg.pairs):
-                attn = int(rng.categorical(pmf["attn"])[0])
-                spat = {int(rng.categorical(pmf["spat"])[0])}
+                attn = int(_categorical(rng, pmf["attn"])[0])
+                spat = {int(_categorical(rng, pmf["spat"])[0])}
                 extra = rng.uniforms(1)[0] <= cfg.extra_label_rate
                 taken["extra_spat", extra] += 1
                 if extra:
-                    spat.add(int(rng.categorical(pmf["spat"])[0]))
-                cont = {int(rng.categorical(pmf["cont"])[0])}
+                    spat.add(int(_categorical(rng, pmf["spat"])[0]))
+                cont = {int(_categorical(rng, pmf["cont"])[0])}
                 extra = rng.uniforms(1)[0] <= cfg.extra_label_rate
                 taken["extra_cont", extra] += 1
                 if extra:
-                    cont.add(int(rng.categorical(pmf["cont"])[0]))
+                    cont.add(int(_categorical(rng, pmf["cont"])[0]))
 
                 stack = [protos["attn"][attn]]
                 stack += [protos["spat"][c] for c in sorted(spat)]
@@ -554,14 +560,14 @@ def test_all_k_ranking_equals_per_k_calls_on_random_frames():
 
 
 def test_stratified_uniform_recalls():
-    prior = compute_frequencies([10, 5, 3, 1])
+    prior = FrequencyPrior([10, 5, 3, 1])
     report = dm.frequency_stratified_report({c: 0.7 for c in range(4)}, prior)
     assert report["head"] == pytest.approx(0.7)
     assert report["tail"] == pytest.approx(0.7)
 
 
 def test_stratified_single_class():
-    prior = compute_frequencies([42])
+    prior = FrequencyPrior([42])
     report = dm.frequency_stratified_report({0: 0.3}, prior)
     assert report["head"] == report["tail"] == pytest.approx(0.3)
     assert report["head_classes"] == [0] and report["tail_classes"] == [0]
@@ -571,7 +577,7 @@ def test_stratified_buckets_match_direct_sort():
     rng = nc.Rng(62)
     counts = 1.0 + rng.integers(100, n=10).astype(float)
     recalls = {c: float(rng.uniforms(1)[0]) for c in range(10)}
-    prior = compute_frequencies(counts)
+    prior = FrequencyPrior(counts)
     report = dm.frequency_stratified_report(recalls, prior)
 
     f = counts / counts.sum()

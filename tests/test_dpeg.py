@@ -11,7 +11,30 @@ from fremure import dpeg
 from fremure import freqgate as fg
 from fremure import numcore as nc
 from fremure.errors import ContractError
+from fremure.model import FremureModel, ModelConfig
 from gradcheck import finite_diff_check
+
+# the settings a model takes by default; a test changes only what it names
+CFG = ModelConfig()
+
+
+def _window(w=CFG.window_w, s=CFG.window_s, mode=CFG.window_mode) -> dpeg.WindowConfig:
+    return dpeg.WindowConfig(w, s, mode)
+
+
+def _encoder(d, h, rng) -> dpeg.BranchEncoder:
+    return dpeg.BranchEncoder(d, h, rng, CFG.ffn_mult)
+
+
+def _dpeg(d, h, n_classes, rng, window=None, dual_branch=CFG.flags.dual_branch,
+          frequency=CFG.flags.frequency) -> dpeg.Dpeg:
+    return dpeg.Dpeg(d, h, n_classes, rng, window or _window(), CFG.ffn_mult,
+                     dual_branch, frequency)
+
+
+def _layout(frames, pair_ids) -> dpeg.ClipLayout:
+    """The layout of one clip's rows."""
+    return dpeg.clip_layout(frames, pair_ids, np.zeros(len(frames)))
 
 # ---------------------------------------------------------------------------
 # test-side oracles
@@ -106,7 +129,7 @@ def _run(dp: dpeg.Dpeg, feats, frames, pair_ids, prior) -> nc.Tensor:
     rows aligned with ``feats``."""
     x = feats if isinstance(feats, nc.Tensor) else nc.Tensor(feats)
     z = dpeg.encode_stacked([dp], nc.reshape(x, (1,) + x.shape),
-                            dpeg.clip_layout(frames, pair_ids), [prior])
+                            _layout(frames, pair_ids), [prior])
     return nc.reshape(z, x.shape)
 
 
@@ -116,12 +139,14 @@ def _run(dp: dpeg.Dpeg, feats, frames, pair_ids, prior) -> nc.Tensor:
 
 
 def test_encoder_rejects_indivisible_heads():
-    with pytest.raises(ContractError):
-        dpeg.BranchEncoder(6, 4, nc.Rng(0))
+    # the rule lives in ModelConfig; FremureModel, the only builder of
+    # encoders, refuses the config before any encoder exists
+    with pytest.raises(ContractError, match="d=6 not divisible by h=4"):
+        FremureModel(ModelConfig(d=6, h=4), nc.Rng(0))
 
 
 def test_encoder_residual_only_path_is_layer_norm_chain():
-    enc = dpeg.BranchEncoder(6, 2, nc.Rng(1))
+    enc = _encoder(6, 2, nc.Rng(1))
     _zero_mixing(enc)
     x = nc.Rng(2).normals((1, 6))
     got = _encode(enc, x).data
@@ -129,7 +154,7 @@ def test_encoder_residual_only_path_is_layer_norm_chain():
 
 
 def test_encoder_permutation_equivariance():
-    enc = dpeg.BranchEncoder(8, 2, nc.Rng(3))
+    enc = _encoder(8, 2, nc.Rng(3))
     x = nc.Rng(4).normals((5, 8))
     perm = nc.Rng(5).permutation(5)
     straight = _encode(enc, x).data
@@ -138,13 +163,13 @@ def test_encoder_permutation_equivariance():
 
 
 def test_encoder_matches_scripted_attention_trace():
-    enc = dpeg.BranchEncoder(8, 4, nc.Rng(6))
+    enc = _encoder(8, 4, nc.Rng(6))
     x = nc.Rng(7).normals((3, 8))
     assert np.allclose(_encode(enc, x).data, _encoder_oracle(x, enc), atol=1e-12)
 
 
 def test_stacked_encoders_equal_each_encoder_alone():
-    encs = [dpeg.BranchEncoder(8, 2, nc.Rng(60).spawn(i)) for i in range(3)]
+    encs = [_encoder(8, 2, nc.Rng(60).spawn(i)) for i in range(3)]
     x = nc.Rng(61).normals((3, 2, 4, 8))          # (task, sets, tokens, d)
     got = dpeg.stacked_encoder(encs)(nc.Tensor(x)).data
     for t, enc in enumerate(encs):
@@ -156,14 +181,14 @@ def test_tail_branch_with_zero_gate_collapses_to_head():
     # with the tail encoder a copy of the head encoder and the correction
     # gate saturated to (numerically) zero, both branches agree, so the fused
     # generator equals the single-branch one built from the same stream
-    window = dpeg.WindowConfig(w=2, s=1)
-    full = dpeg.Dpeg(6, 2, 3, nc.Rng(8), window=window)
-    bare = dpeg.Dpeg(6, 2, 3, nc.Rng(8), window=window, dual_branch=False)
+    window = _window(w=2, s=1)
+    full = _dpeg(6, 2, 3, nc.Rng(8), window=window)
+    bare = _dpeg(6, 2, 3, nc.Rng(8), window=window, dual_branch=False)
     for key, p in full.tail_enc.parameters().items():
         p.data = np.array(full.head_enc.parameters()[key].data)
     full.freq_gate.w.data[:] = 0.0
     full.freq_gate.b.data[:] = -800.0
-    prior = fg.compute_frequencies([5, 3, 2])
+    prior = fg.FrequencyPrior([5, 3, 2])
     feats, frames, pairs = _toy_clip(nc.Rng(9))
     got = _run(full, feats, frames, pairs, prior).data
     want = _run(bare, feats, frames, pairs, prior).data
@@ -172,11 +197,11 @@ def test_tail_branch_with_zero_gate_collapses_to_head():
 
 def test_tail_branch_with_unit_gate_sees_normalized_input():
     rng = nc.Rng(9)
-    tail = dpeg.BranchEncoder(6, 2, rng.spawn(0))
+    tail = _encoder(6, 2, rng.spawn(0))
     gate = fg.FrequencyGate(3, 6, rng.spawn(1))
     gate.w.data[:] = 0.0
     gate.b.data[:] = 800.0
-    prior = fg.compute_frequencies([5, 3, 2])
+    prior = fg.FrequencyPrior([5, 3, 2])
     x = nc.Rng(10).normals((4, 6))
     t_out = _tail_branch(nc.Tensor(x), prior, gate, tail)
     direct = _encode(tail, nc.layer_norm(nc.Tensor(x)))
@@ -185,9 +210,9 @@ def test_tail_branch_with_unit_gate_sees_normalized_input():
 
 def test_tail_branch_matches_composition_of_oracles():
     rng = nc.Rng(11)
-    tail = dpeg.BranchEncoder(8, 2, rng.spawn(0))
+    tail = _encoder(8, 2, rng.spawn(0))
     gate = fg.FrequencyGate(4, 8, rng.spawn(1))
-    prior = fg.compute_frequencies([10, 5, 3, 1])
+    prior = fg.FrequencyPrior([10, 5, 3, 1])
     x = nc.Rng(12).normals((3, 8))
     got = _tail_branch(nc.Tensor(x), prior, gate, tail).data
     g = 1.0 / (1.0 + np.exp(-(prior.log_inverse() @ gate.w.data + gate.b.data)))
@@ -293,8 +318,9 @@ def test_positional_encoding_row_one_formula():
 
 
 def test_positional_encoding_rejects_odd_dim():
-    with pytest.raises(ContractError):
-        dpeg.pe_at(np.arange(4), 5)
+    # pe_at assumes an even d; FremureModel refuses an odd one first
+    with pytest.raises(ContractError, match=r"d=5 must be even"):
+        FremureModel(ModelConfig(d=5, h=1), nc.Rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,50 +329,39 @@ def test_positional_encoding_rejects_odd_dim():
 
 
 def test_global_single_frame_residual_path():
-    enc = dpeg.BranchEncoder(6, 2, nc.Rng(18))
+    enc = _encoder(6, 2, nc.Rng(18))
     _zero_mixing(enc)
     z = nc.Rng(19).normals((1, 6))
-    cfg = dpeg.WindowConfig(w=4, s=2)
+    cfg = _window(w=4, s=2)
     out = _global(nc.Tensor(z), [7], dpeg.stacked_encoder([enc]), cfg).data
     expect = _np_layer_norm(_np_layer_norm(z + dpeg.pe_at([7], 6)))
     assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_global_encoding_depends_on_absolute_frame_index():
-    enc = dpeg.stacked_encoder([dpeg.BranchEncoder(6, 2, nc.Rng(20))])
+    enc = dpeg.stacked_encoder([_encoder(6, 2, nc.Rng(20))])
     z = nc.Tensor(nc.Rng(21).normals((3, 6)))
-    cfg = dpeg.WindowConfig(w=3, s=1)
+    cfg = _window(w=3, s=1)
     at_zero = _global(z, [0, 1, 2], enc, cfg).data
     shifted = _global(z, [5, 6, 7], enc, cfg).data
     assert not np.allclose(at_zero, shifted)
 
 
 def test_global_four_frames_matches_attention_oracle():
-    enc = dpeg.BranchEncoder(8, 2, nc.Rng(22))
+    enc = _encoder(8, 2, nc.Rng(22))
     z = nc.Rng(23).normals((4, 8))
-    cfg = dpeg.WindowConfig(w=4, s=4)  # one window covering everything
+    cfg = _window(w=4, s=4)  # one window covering everything
     out = _global(nc.Tensor(z), [0, 1, 2, 3], dpeg.stacked_encoder([enc]), cfg).data
     assert np.allclose(out, _encoder_oracle(z + dpeg.pe_at([0, 1, 2, 3], 8), enc), atol=1e-12)
 
 
 def test_global_rejects_bad_sequences():
-    enc = dpeg.stacked_encoder([dpeg.BranchEncoder(4, 2, nc.Rng(24))])
-    cfg = dpeg.WindowConfig(w=2, s=1)
+    enc = dpeg.stacked_encoder([_encoder(4, 2, nc.Rng(24))])
+    cfg = _window(w=2, s=1)
     with pytest.raises(ContractError):
         dpeg.encode_global(nc.Tensor(np.zeros((0, 4))), [], enc, cfg)
     with pytest.raises(ContractError):
         dpeg.encode_global(nc.Tensor(np.zeros((2, 4))), [3, 3], enc, cfg)
-
-
-def test_window_config_validation():
-    with pytest.raises(ContractError):
-        dpeg.WindowConfig(w=0, s=1)
-    with pytest.raises(ContractError):
-        dpeg.WindowConfig(w=2, s=0)
-    with pytest.raises(ContractError):
-        dpeg.WindowConfig(w=2, s=3)
-    with pytest.raises(ContractError):
-        dpeg.WindowConfig(w=2, s=1, mode="gaussian")
 
 
 def test_window_starts_cover_tail():
@@ -357,9 +372,9 @@ def test_window_starts_cover_tail():
 
 
 def test_aggregate_identity_cases():
-    enc = dpeg.BranchEncoder(4, 2, nc.Rng(25))
+    enc = _encoder(4, 2, nc.Rng(25))
     z = nc.Tensor(nc.Rng(26).normals((3, 4)))
-    one = dpeg.WindowConfig(w=1, s=1)
+    one = _window(w=1, s=1)
     got = _global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), one).data
     # w=1: each position appears in exactly one window, so aggregation is identity
     pe = dpeg.pe_at([0, 1, 2], 4)
@@ -367,7 +382,7 @@ def test_aggregate_identity_cases():
                                 for i in range(3)])
     assert np.allclose(got, per_token, atol=1e-12)
 
-    whole = dpeg.WindowConfig(w=3, s=3)
+    whole = _window(w=3, s=3)
     windows = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), whole)
     assert windows.shape == (1, 3, 4)
     got2 = dpeg.aggregate_windows(windows, 3, whole).data
@@ -379,7 +394,7 @@ def test_aggregate_average_matches_brute_force():
     # value in the two windows
     a = np.arange(4.0).reshape(2, 2)          # window at 0, rows for pos 0,1
     b = 10.0 + np.arange(4.0).reshape(2, 2)   # window at 1, rows for pos 1,2
-    cfg = dpeg.WindowConfig(w=2, s=1, mode="average")
+    cfg = _window(w=2, s=1, mode="average")
     out = dpeg.aggregate_windows(nc.Tensor(np.stack([a, b])), 3, cfg).data
     assert np.array_equal(out[0], a[0])
     assert np.array_equal(out[2], b[1])
@@ -389,7 +404,7 @@ def test_aggregate_average_matches_brute_force():
 def test_aggregate_triangular_matches_brute_force():
     rng = nc.Rng(27)
     values = [(start, rng.normals((3, 2))) for start in (0, 1, 2)]
-    cfg = dpeg.WindowConfig(w=3, s=1, mode="triangular")
+    cfg = _window(w=3, s=1, mode="triangular")
     got = dpeg.aggregate_windows(nc.Tensor(np.stack([v for _, v in values])), 5, cfg).data
     weights = np.array([1.0, 2.0, 1.0])  # peak at window center
     num = np.zeros((5, 2))
@@ -405,7 +420,7 @@ def test_aggregate_conservation(seed, mode):
     # constant per-position values across windows come back unchanged
     row = nc.Rng(seed).normals(3)
     vals = np.tile(row, (2, 1))
-    cfg = dpeg.WindowConfig(w=2, s=1, mode=mode)
+    cfg = _window(w=2, s=1, mode=mode)
     out = dpeg.aggregate_windows(nc.Tensor(np.stack([vals] * 3)), 4, cfg).data
     assert np.allclose(out, np.tile(row, (4, 1)), atol=1e-12)
 
@@ -427,9 +442,9 @@ def _toy_clip(rng, n_frames=3, n_pairs=2, d=6):
 
 
 def test_dpeg_forward_shape_and_determinism():
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(30), window=dpeg.WindowConfig(w=2, s=1))
+    model = _dpeg(6, 2, 4, nc.Rng(30), window=_window(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(31))
-    prior = fg.compute_frequencies([8, 4, 2, 1])
+    prior = fg.FrequencyPrior([8, 4, 2, 1])
     out1 = _run(model, nc.Tensor(feats), frames, pairs, prior).data
     out2 = _run(model, nc.Tensor(feats), frames, pairs, prior).data
     assert out1.shape == (6, 6)
@@ -437,9 +452,9 @@ def test_dpeg_forward_shape_and_determinism():
 
 
 def test_dpeg_forward_row_alignment_under_permutation():
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(32), window=dpeg.WindowConfig(w=2, s=1))
+    model = _dpeg(6, 2, 4, nc.Rng(32), window=_window(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(33))
-    prior = fg.compute_frequencies([8, 4, 2, 1])
+    prior = fg.FrequencyPrior([8, 4, 2, 1])
     base = _run(model, nc.Tensor(feats), frames, pairs, prior).data
     perm = nc.Rng(34).permutation(len(frames))
     moved = _run(model, nc.Tensor(feats[perm]), frames[perm], pairs[perm], prior).data
@@ -447,19 +462,18 @@ def test_dpeg_forward_row_alignment_under_permutation():
 
 
 def test_dpeg_single_branch_has_no_tail_parameters():
-    full = dpeg.Dpeg(4, 2, 3, nc.Rng(35), dual_branch=True)
-    bare = dpeg.Dpeg(4, 2, 3, nc.Rng(35), dual_branch=False)
+    full = _dpeg(4, 2, 3, nc.Rng(35), dual_branch=True)
+    bare = _dpeg(4, 2, 3, nc.Rng(35), dual_branch=False)
     assert any(k.startswith("tail_enc") for k in full.parameters())
     assert not any(k.startswith(("tail_enc", "fusion", "freq_gate"))
                    for k in bare.parameters())
 
 
 def test_dpeg_frequency_off_ignores_prior():
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(36), window=dpeg.WindowConfig(w=2, s=1),
-                      frequency=False)
+    model = _dpeg(6, 2, 4, nc.Rng(36), window=_window(w=2, s=1), frequency=False)
     feats, frames, pairs = _toy_clip(nc.Rng(37))
-    skew = fg.compute_frequencies([100, 1, 1, 1])
-    flat = fg.compute_frequencies([1, 1, 1, 1])
+    skew = fg.FrequencyPrior([100, 1, 1, 1])
+    flat = fg.FrequencyPrior([1, 1, 1, 1])
     out_skew = _run(model, nc.Tensor(feats), frames, pairs, skew).data
     out_flat = _run(model, nc.Tensor(feats), frames, pairs, flat).data
     assert np.array_equal(out_skew, out_flat)
@@ -467,20 +481,20 @@ def test_dpeg_frequency_off_ignores_prior():
 
 def test_clip_layout_rejects_duplicate_frame_pair_rows():
     with pytest.raises(ContractError):
-        dpeg.clip_layout(np.array([1, 1]), np.array([0, 0]))
+        _layout(np.array([1, 1]), np.array([0, 0]))
 
 
 def test_dpeg_rejects_prior_of_another_class_count():
-    model = dpeg.Dpeg(4, 2, 3, nc.Rng(38))
+    model = _dpeg(4, 2, 3, nc.Rng(38))
     feats, frames, pairs = _toy_clip(nc.Rng(38), d=4)
     with pytest.raises(ContractError):
-        _run(model, feats, frames, pairs, fg.compute_frequencies([1, 1]))
+        _run(model, feats, frames, pairs, fg.FrequencyPrior([1, 1]))
 
 
 def test_dpeg_gradients_match_finite_differences():
-    model = dpeg.Dpeg(4, 2, 3, nc.Rng(39), window=dpeg.WindowConfig(w=2, s=1))
+    model = _dpeg(4, 2, 3, nc.Rng(39), window=_window(w=2, s=1))
     feats, frames, pairs = _toy_clip(nc.Rng(40), n_frames=2, n_pairs=2, d=4)
-    prior = fg.compute_frequencies([5, 3, 1])
+    prior = fg.FrequencyPrior([5, 3, 1])
     readout = nc.Tensor(nc.Rng(41).normals((4, 4)))
 
     def through_inputs(x):
@@ -512,14 +526,14 @@ def test_dpeg_batched_path_matches_per_group_composition(shape, w, s, mode):
     # rebuild the generator's output from per-frame encoders and the
     # per-window oracle over each pair track, tracks of unequal lengths
     # included in the ragged clip
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(50), window=dpeg.WindowConfig(w, s, mode))
+    model = _dpeg(6, 2, 4, nc.Rng(50), window=_window(w, s, mode))
     if shape == "rectangular":
         feats, frames, pairs = _toy_clip(nc.Rng(51))
     else:
         frames = np.array([f for f, _ in RAGGED_ROWS])
         pairs = np.array([p for _, p in RAGGED_ROWS])
         feats = nc.Rng(51).normals((len(RAGGED_ROWS), 6))
-    prior = fg.compute_frequencies([8, 4, 2, 1])
+    prior = fg.FrequencyPrior([8, 4, 2, 1])
     got = _run(model, nc.Tensor(feats), frames, pairs, prior).data
 
     x = nc.Tensor(feats)
@@ -545,8 +559,8 @@ def test_dpeg_batched_path_matches_per_group_composition(shape, w, s, mode):
 def test_batched_windows_match_per_window_oracle(w, s, mode, length):
     # the window axis against the per-window loop and per-window scatter:
     # values and the gradients reaching the inputs and the encoder weights
-    cfg = dpeg.WindowConfig(w, s, mode)
-    enc = dpeg.BranchEncoder(4, 2, nc.Rng(60))
+    cfg = _window(w, s, mode)
+    enc = _encoder(4, 2, nc.Rng(60))
     rng = nc.Rng(61)
     z0 = rng.normals((2, 3, length, 4))              # (tasks, pairs, L, d)
     readout = nc.Tensor(rng.normals((2, 3, length, 4)))
@@ -572,7 +586,7 @@ def test_batched_windows_match_per_window_oracle(w, s, mode, length):
 
 
 def test_aggregate_rejects_values_of_another_window_layout():
-    cfg = dpeg.WindowConfig(w=2, s=1)
+    cfg = _window(w=2, s=1)
     with pytest.raises(ContractError):
         dpeg.aggregate_windows(nc.Tensor(np.zeros((2, 2, 3))), 4, cfg)  # 4 needs 3 windows
 
@@ -581,8 +595,8 @@ def test_clip_keys_keep_clips_apart():
     # two clips over the same frames and pair ids, run as one layout, give
     # each clip's rows of its own run bit for bit: no attention or window
     # crosses the clip key, though their frames and tracks stack into blocks
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(62), window=dpeg.WindowConfig(w=2, s=1))
-    prior = fg.compute_frequencies([8, 4, 2, 1])
+    model = _dpeg(6, 2, 4, nc.Rng(62), window=_window(w=2, s=1))
+    prior = fg.FrequencyPrior([8, 4, 2, 1])
     feats_a, frames, pairs = _toy_clip(nc.Rng(63))
     feats_b = nc.Rng(64).normals(feats_a.shape)
     alone = [_run(model, f, frames, pairs, prior).data for f in (feats_a, feats_b)]
@@ -597,11 +611,11 @@ def test_clip_keys_keep_clips_apart():
 def test_dpeg_handles_ragged_clips():
     # pair 1 is missing from frame 0, so group sizes differ and the
     # per-group route runs
-    model = dpeg.Dpeg(6, 2, 4, nc.Rng(52), window=dpeg.WindowConfig(w=2, s=1))
+    model = _dpeg(6, 2, 4, nc.Rng(52), window=_window(w=2, s=1))
     frames = np.array([0, 1, 1, 2, 2])
     pairs = np.array([0, 0, 1, 0, 1])
     feats = nc.Rng(53).normals((5, 6))
-    prior = fg.compute_frequencies([8, 4, 2, 1])
+    prior = fg.FrequencyPrior([8, 4, 2, 1])
     out = _run(model, nc.Tensor(feats), frames, pairs, prior)
     assert out.shape == (5, 6)
     perm = np.array([3, 0, 4, 1, 2])

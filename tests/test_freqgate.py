@@ -11,18 +11,18 @@ from fremure.errors import ContractError
 from gradcheck import finite_diff_check
 
 # ---------------------------------------------------------------------------
-# compute_frequencies
+# FrequencyPrior
 # ---------------------------------------------------------------------------
 
 
 def test_frequencies_direct_ratio():
-    prior = fg.compute_frequencies([3, 1])
+    prior = fg.FrequencyPrior([3, 1])
     assert np.allclose(prior.f, [0.75, 0.25])
     assert prior.f.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frequencies_uniform():
-    prior = fg.compute_frequencies([1, 1, 1, 1])
+    prior = fg.FrequencyPrior([1, 1, 1, 1])
     assert np.allclose(prior.f, 0.25)
 
 
@@ -31,25 +31,25 @@ def test_frequencies_match_recount_of_zipf_label_stream():
     # equal brute-force normalization of the same stream
     ranks = np.arange(1, 11, dtype=np.float64)
     pmf = ranks**-1.5 / (ranks**-1.5).sum()
-    labels = nc.Rng(5150).categorical(pmf, n=20000)
+    labels = nc.categorical_from_uniforms(pmf, nc.Rng(5150).uniforms(20000))
     counts = np.bincount(labels, minlength=10)
-    prior = fg.compute_frequencies(counts)
+    prior = fg.FrequencyPrior(counts)
     assert np.allclose(prior.f, counts / counts.sum(), atol=0)
 
 
 def test_frequencies_zero_count_class_allowed():
-    prior = fg.compute_frequencies([5, 0, 5])
+    prior = fg.FrequencyPrior([5, 0, 5])
     assert prior.f[1] == 0.0
     assert np.all(np.isfinite(prior.log_inverse()))
 
 
 def test_frequencies_reject_degenerate_counts():
     with pytest.raises(ContractError):
-        fg.compute_frequencies([0, 0, 0])
+        fg.FrequencyPrior([0, 0, 0])
     with pytest.raises(ContractError):
-        fg.compute_frequencies([2, -1])
+        fg.FrequencyPrior([2, -1])
     with pytest.raises(ContractError):
-        fg.compute_frequencies([])
+        fg.FrequencyPrior([])
 
 
 # ---------------------------------------------------------------------------
@@ -69,24 +69,25 @@ def _gate(prior: fg.FrequencyPrior, gate: fg.FrequencyGate) -> nc.Tensor:
 
 
 def test_gate_zero_weights_give_half():
-    prior = fg.compute_frequencies([9, 1, 4])
+    prior = fg.FrequencyPrior([9, 1, 4])
     gate = _manual_gate(np.zeros((3, 5)), np.zeros(5))
     assert np.allclose(_gate(prior, gate).data, 0.5)
 
 
 def test_gate_identity_weights_closed_form():
-    # sigmoid(ln(1/f)) = (1/f)/(1 + 1/f) = 1/(1+f)
-    prior = fg.FrequencyPrior([1, 1], eps=0.0)
+    # sigmoid(ln(1/(f + eps))) = 1/(1 + f + eps)
+    prior = fg.FrequencyPrior([1, 1])
     gate = _manual_gate(np.eye(2), np.zeros(2))
-    assert np.allclose(_gate(prior, gate).data, [2 / 3, 2 / 3], atol=1e-15)
+    half = 1 / (1.5 + fg.EPS)
+    assert np.allclose(_gate(prior, gate).data, [half, half], rtol=1e-15, atol=0)
 
-    skew = fg.FrequencyPrior([9, 1], eps=0.0)
+    skew = fg.FrequencyPrior([9, 1])
     got = _gate(skew, gate).data
-    assert got == pytest.approx([10 / 19, 10 / 11], abs=1e-12)
+    assert got == pytest.approx([1 / (1.9 + fg.EPS), 1 / (1.1 + fg.EPS)], abs=1e-12)
 
 
 def test_gate_strictly_inside_unit_interval():
-    prior = fg.compute_frequencies([1000000, 1])
+    prior = fg.FrequencyPrior([1000000, 1])
     gate = _manual_gate(nc.Rng(1).normals((2, 8)) * 50.0, np.zeros(8))
     vals = _gate(prior, gate).data
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
@@ -94,7 +95,7 @@ def test_gate_strictly_inside_unit_interval():
 
 def test_gate_monotone_in_frequency_with_identity_weights():
     # rarer class => larger gate input => larger gate value
-    prior = fg.compute_frequencies([50, 30, 15, 5])
+    prior = fg.FrequencyPrior([50, 30, 15, 5])
     gate = _manual_gate(np.eye(4), np.zeros(4))
     vals = _gate(prior, gate).data
     order = np.argsort(prior.f)  # ascending frequency
@@ -103,7 +104,7 @@ def test_gate_monotone_in_frequency_with_identity_weights():
 
 def test_gate_init_starts_balanced():
     # small-noise W and zero b keep the initial gate near one half
-    prior = fg.compute_frequencies([100, 10, 1])
+    prior = fg.FrequencyPrior([100, 10, 1])
     gate = fg.FrequencyGate(3, 16, nc.Rng(77))
     vals = _gate(prior, gate).data
     assert np.all(np.abs(vals - 0.5) < 0.15)
@@ -112,8 +113,8 @@ def test_gate_init_starts_balanced():
 def test_stacked_gates_equal_each_gate_alone():
     # the form the generator runs: T priors' signals zero-padded to the
     # widest class count, with the T gates' weight rows padded to match
-    priors = [fg.compute_frequencies([5, 3, 2]), fg.compute_frequencies([9, 1]),
-              fg.compute_frequencies([4, 4, 1, 7])]
+    priors = [fg.FrequencyPrior([5, 3, 2]), fg.FrequencyPrior([9, 1]),
+              fg.FrequencyPrior([4, 4, 1, 7])]
     gates = [fg.FrequencyGate(p.n_classes, 6, nc.Rng(80).spawn(i))
              for i, p in enumerate(priors)]
     for gate in gates:
@@ -177,13 +178,13 @@ def test_correct_betweenness(row, gate_value):
 
 
 def test_gate_and_correction_gradients_match_fd():
-    prior = fg.compute_frequencies([40, 9, 1])
+    prior = fg.FrequencyPrior([40, 9, 1])
     rng = nc.Rng(303)
     x_fixed = nc.Tensor(rng.normals((5, 6)))
     readout = nc.Tensor(rng.normals((5, 6)))
 
     def through_weights(w):
-        signal = nc.Tensor(prior.log_inverse())
+        signal = nc.Tensor(prior.log_inverse()[None])
         g = nc.sigmoid(nc.matmul(signal, w))
         corrected = g * nc.layer_norm(x_fixed) + (1.0 - g) * x_fixed
         return (corrected * readout).sum()

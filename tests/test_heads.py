@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fremure import heads
 from fremure import numcore as nc
 from fremure.errors import ContractError
-from fremure.freqgate import compute_frequencies
-from fremure.model import loss_attention, loss_multilabel_bce
+from fremure.freqgate import FrequencyPrior
+from fremure.model import AblationFlags, ModelConfig, loss_attention, loss_multilabel_bce
 from gradcheck import finite_diff_check
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -20,6 +20,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 # quadrature at high precision; drives the Monte Carlo consistency check.
 MC_MEAN = 0.7115731678447065
 MC_VAR = 0.01811536398703595
+
+
+def _head(kind, d, c, rng, mode="single", **settings):
+    """A head built as FremureModel builds one, with the settings of a
+    ModelConfig that changes only ``settings``."""
+    cfg = ModelConfig(flags=AblationFlags(head=kind), **settings)
+    return heads.build_head(kind, d, c, rng, mode, **cfg.head_kwargs())
 
 # ---------------------------------------------------------------------------
 # the training losses on head logits
@@ -56,8 +63,6 @@ def test_loss_contract_errors():
         loss_attention(logits, 2)
     with pytest.raises(ContractError):
         loss_multilabel_bce(logits, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ContractError):
-        heads.build_head("linear", 2, 2, nc.Rng(0), "soft")
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +71,14 @@ def test_loss_contract_errors():
 
 
 def _clamped_bayesian(d=4, c=3, seed=1, mode="single"):
-    head = heads.BayesianHead(d, c, nc.Rng(seed), mode=mode)
+    head = _head("bayesian", d, c, nc.Rng(seed), mode=mode)
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = -1e9  # exp underflows to exactly zero variance
     return head
 
 
 def test_linear_head_single_label_probs_normalized():
-    head = heads.LinearHead(5, 4, nc.Rng(2))
+    head = _head("linear", 5, 4, nc.Rng(2))
     _, probs, report = head.predict(nc.Tensor(nc.Rng(3).normals(5)))
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-12)
     assert report.aleatoric_rows.tolist() == [0.0]
@@ -82,7 +87,7 @@ def test_linear_head_single_label_probs_normalized():
 
 def test_bayesian_zero_variance_equals_linear_head_exactly():
     bay = _clamped_bayesian(d=4, c=3, seed=4)
-    lin = heads.LinearHead(4, 3, nc.Rng(99))
+    lin = _head("linear", 4, 3, nc.Rng(99))
     lin.lin.w.data = np.array(bay.mu.w.data)
     lin.lin.b.data = np.array(bay.mu.b.data)
     z = nc.Tensor(nc.Rng(5).normals(4))
@@ -98,7 +103,7 @@ def test_bayesian_zero_variance_equals_linear_head_exactly():
 
 
 def test_bayesian_symmetric_means_give_near_uniform():
-    head = heads.BayesianHead(3, 2, nc.Rng(8), s_eval=10000)
+    head = _head("bayesian", 3, 2, nc.Rng(8), s_eval=10000)
     head.mu.w.data[:] = 0.0
     head.mu.b.data[:] = 0.0
     head.logvar.w.data[:] = 0.0
@@ -110,7 +115,7 @@ def test_bayesian_symmetric_means_give_near_uniform():
 def test_bayesian_matches_independent_mc_oracle():
     # mu=[1,0], var=[0.25,0.25]: p_0 = E[sigmoid(x)] with x ~ N(1, 0.5)
     s = 10**6
-    head = heads.BayesianHead(2, 2, nc.Rng(10), s_eval=s)
+    head = _head("bayesian", 2, 2, nc.Rng(10), s_eval=s)
     head.mu.w.data[:] = 0.0
     head.mu.b.data = np.array([1.0, 0.0])
     head.logvar.w.data[:] = 0.0
@@ -126,7 +131,7 @@ def test_bayesian_matches_independent_mc_oracle():
 
 
 def test_bayesian_sampling_noise_shrinks_with_s():
-    head = heads.BayesianHead(3, 3, nc.Rng(13))
+    head = _head("bayesian", 3, 3, nc.Rng(13))
     z = nc.Tensor(nc.Rng(14).normals(3))
     master = nc.Rng(15)
 
@@ -140,7 +145,7 @@ def test_bayesian_sampling_noise_shrinks_with_s():
 
 
 def test_bayesian_report_fields():
-    head = heads.BayesianHead(3, 4, nc.Rng(16))
+    head = _head("bayesian", 3, 4, nc.Rng(16))
     head.logvar.w.data[:] = 0.0
     head.logvar.b.data[:] = math.log(0.3)
     _, probs, report = head.predict(nc.Tensor(nc.Rng(17).normals(3)), nc.Rng(18))
@@ -149,9 +154,9 @@ def test_bayesian_report_fields():
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("mode", heads.MODES)
+@pytest.mark.parametrize("mode", ("single", "multi"))
 def test_bayesian_logits_activate_to_the_mean_of_the_draws(mode):
-    head = heads.BayesianHead(4, 5, nc.Rng(60), s_eval=7, mode=mode)
+    head = _head("bayesian", 4, 5, nc.Rng(60), s_eval=7, mode=mode)
     head.logvar.b.data[:] = 1.0                  # wide draws
     z = nc.Tensor(nc.Rng(61).normals((3, 4)))
     _, probs, _ = head.predict(z, nc.Rng(62))
@@ -166,18 +171,14 @@ def test_bayesian_logits_activate_to_the_mean_of_the_draws(mode):
     np.testing.assert_allclose(probs.data, want, rtol=1e-13, atol=0)
 
 
-def test_bayesian_sample_count_contract():
-    with pytest.raises(ContractError):
-        heads.BayesianHead(3, 2, nc.Rng(19), s_train=0)
-    with pytest.raises(ContractError):
-        heads.BayesianHead(3, 2, nc.Rng(21), s_eval=0)
-    head = heads.BayesianHead(3, 2, nc.Rng(20))
-    with pytest.raises(ContractError):  # sampling with no generator
+def test_bayesian_sampling_requires_an_rng():
+    head = _head("bayesian", 3, 2, nc.Rng(20))
+    with pytest.raises(ContractError, match="requires an Rng"):
         head.predict(nc.Tensor(np.zeros(3)), None)
 
 
 def test_bayesian_reparameterized_gradients_match_fd():
-    head = heads.BayesianHead(3, 3, nc.Rng(22))
+    head = _head("bayesian", 3, 3, nc.Rng(22))
     z_fixed = nc.Tensor(nc.Rng(23).normals(3))
 
     def through_mu_weights(w):
@@ -267,7 +268,7 @@ def _inverse_softplus(y: float) -> float:
 
 
 def test_gmm_variances_respect_structural_floor():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(26), k=2, sigma_min=1e-3)
+    head = _head("gmm_plus", 4, 3, nc.Rng(26), k=2, sigma_min=1e-3)
     head.rho.data[:] = -1e6  # softplus underflows to 0
     assert head.variances().data.min() == pytest.approx(1e-3, abs=0)
     head.rho.data[:] = nc.Rng(27).normals((3, 2)) * 10.0
@@ -275,14 +276,14 @@ def test_gmm_variances_respect_structural_floor():
 
 
 def test_gmm_mixture_weights_normalized():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(28), k=4)
+    head = _head("gmm_plus", 4, 3, nc.Rng(28), k=4)
     head.mix.data = nc.Rng(29).normals((3, 4)) * 3.0
     pi = head.mixture_weights()
     assert np.allclose(pi.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_gmm_symmetric_classes_split_evenly():
-    head = heads.GmmPlusHead(4, 2, nc.Rng(30), k=2)
+    head = _head("gmm_plus", 4, 2, nc.Rng(30), k=2)
     head.proj.w.data[:] = 0.0
     head.proj.b.data[:] = 0.0
     head.means.data = np.array([[0.5, -0.5], [0.5, -0.5]])
@@ -294,7 +295,7 @@ def test_gmm_symmetric_classes_split_evenly():
 
 
 def test_gmm_dominated_class_posterior_vanishes():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(31), k=1)
+    head = _head("gmm_plus", 4, 3, nc.Rng(31), k=1)
     head.proj.w.data[:] = 0.0
     head.proj.b.data[:] = 0.0
     head.means.data = np.array([[50.0], [0.0], [0.0]])  # class 0 far from its score
@@ -306,7 +307,7 @@ def test_gmm_dominated_class_posterior_vanishes():
 
 
 def test_gmm_classify_composes_density_oracle():
-    head = heads.GmmPlusHead(5, 3, nc.Rng(32), k=3)
+    head = _head("gmm_plus", 5, 3, nc.Rng(32), k=3)
     head.mix.data = nc.Rng(33).normals((3, 3))
     head.rho.data = nc.Rng(34).normals((3, 3))
     z = nc.Tensor(nc.Rng(35).normals(5))
@@ -327,7 +328,7 @@ def test_gmm_classify_composes_density_oracle():
 @given(st.integers(0, 2**32 - 1))
 def test_gmm_single_label_posterior_normalized(seed):
     rng = nc.Rng(seed)
-    head = heads.GmmPlusHead(4, 5, rng, k=2)
+    head = _head("gmm_plus", 4, 5, rng, k=2)
     head.mix.data = rng.normals((5, 2)) * 2.0
     _, probs, _ = head.predict(nc.Tensor(rng.normals(4)))
     assert probs.data.sum() == pytest.approx(1.0, abs=1e-10)
@@ -335,7 +336,7 @@ def test_gmm_single_label_posterior_normalized(seed):
 
 
 def test_gmm_perturbation_semantics():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(36), k=2, tau=0.0)
+    head = _head("gmm_plus", 4, 3, nc.Rng(36), k=2, tau=0.0)
     assert head.perturbed_means(nc.Rng(37), training=True) is head.means
 
     head.tau = 0.1
@@ -346,8 +347,8 @@ def test_gmm_perturbation_semantics():
 
 
 def test_gmm_regularizer_inactive_cases():
-    prior = compute_frequencies([5, 3, 2])
-    head = heads.GmmPlusHead(4, 3, nc.Rng(40), k=2)  # default var 0.694 >> 0.01
+    prior = FrequencyPrior([5, 3, 2])
+    head = _head("gmm_plus", 4, 3, nc.Rng(40), k=2)  # default var 0.694 >> 0.01
     assert head.regularizer(prior).item() == 0.0
     head.lam = 0.0
     head.rho.data[:] = -1e6  # variances at the floor, under the target
@@ -355,8 +356,8 @@ def test_gmm_regularizer_inactive_cases():
 
 
 def test_gmm_regularizer_single_class_hand_value():
-    prior = compute_frequencies([7])
-    head = heads.GmmPlusHead(4, 1, nc.Rng(41), k=1, sigma_min=1e-3,
+    prior = FrequencyPrior([7])
+    head = _head("gmm_plus", 4, 1, nc.Rng(41), k=1, sigma_min=1e-3,
                              sigma_target=0.1, lam=0.1)
     target_sq = 0.1**2
     head.rho.data[:] = _inverse_softplus(target_sq / 2.0 - 1e-3)
@@ -365,10 +366,10 @@ def test_gmm_regularizer_single_class_hand_value():
 
 
 def test_gmm_regularizer_weights_rare_classes_harder():
-    head = heads.GmmPlusHead(4, 2, nc.Rng(42), k=1, lam=1.0)
+    head = _head("gmm_plus", 4, 2, nc.Rng(42), k=1, lam=1.0)
     head.rho.data[:] = -1e6  # both classes violate the bound equally
-    rare_first = compute_frequencies([1, 99])
-    rare_last = compute_frequencies([99, 1])
+    rare_first = FrequencyPrior([1, 99])
+    rare_last = FrequencyPrior([99, 1])
     # symmetric violation, so swapping which class is rare preserves the value
     assert head.regularizer(rare_first).item() == \
         pytest.approx(head.regularizer(rare_last).item(), rel=1e-12)
@@ -378,14 +379,14 @@ def test_gmm_regularizer_weights_rare_classes_harder():
 
 
 def test_gmm_prior_size_mismatch():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(43))
+    head = _head("gmm_plus", 4, 3, nc.Rng(43))
     with pytest.raises(ContractError):
-        head.regularizer(compute_frequencies([1, 1]))
+        head.regularizer(FrequencyPrior([1, 1]))
 
 
 def test_gmm_gradients_match_fd():
-    prior = compute_frequencies([5, 3, 2])
-    head = heads.GmmPlusHead(4, 3, nc.Rng(44), k=2, lam=0.5)
+    prior = FrequencyPrior([5, 3, 2])
+    head = _head("gmm_plus", 4, 3, nc.Rng(44), k=2, lam=0.5)
     head.rho.data[:] = -3.0  # variances below target: regularizer active
     z_fixed = nc.Tensor(nc.Rng(45).normals(4))
 
@@ -403,23 +404,16 @@ def test_gmm_gradients_match_fd():
         assert err < 1e-4, f"{attr}: {err}"
 
 
-def test_gmm_constructor_contracts():
-    with pytest.raises(ContractError):
-        heads.GmmPlusHead(4, 3, nc.Rng(46), k=0)
-    with pytest.raises(ContractError):
-        heads.GmmPlusHead(4, 3, nc.Rng(47), sigma_min=0.0)
-
-
 def test_build_head_kinds():
     for kind, cls in (("linear", heads.LinearHead), ("bayesian", heads.BayesianHead),
                       ("gmm_plus", heads.GmmPlusHead)):
-        assert isinstance(heads.build_head(kind, 4, 3, nc.Rng(48), "single"), cls)
+        assert isinstance(_head(kind, 4, 3, nc.Rng(48)), cls)
     with pytest.raises(ContractError):
         heads.build_head("mlp", 4, 3, nc.Rng(49), "single")
 
 
 def test_multi_label_mode_outputs_independent_probabilities():
-    head = heads.GmmPlusHead(4, 3, nc.Rng(50), mode="multi")
+    head = _head("gmm_plus", 4, 3, nc.Rng(50), mode="multi")
     _, probs, report = head.predict(nc.Tensor(nc.Rng(51).normals(4)))
     assert np.all((probs.data > 0.0) & (probs.data < 1.0))
     assert report.epistemic_rows.shape == (1,)

@@ -314,6 +314,22 @@ class TestConfig:
         with pytest.raises(ContractError):
             cfg.validate()
 
+    # the layers below the config take these values as given, so the config
+    # is the one place that rejects them
+    @pytest.mark.parametrize("name, value, needle", [
+        ("window_w", 0, "window_w must be >= 1"),
+        ("window_s", 0, "window_s must be >= 1"),
+        ("window_mode", "gaussian", "unknown window_mode 'gaussian'"),
+        ("k", 0, "k must be >= 1"),
+        ("s_train", 0, "s_train must be >= 1"),
+        ("s_eval", 0, "s_eval must be >= 1"),
+    ], ids=["window_w", "window_s", "window_mode", "k", "s_train", "s_eval"])
+    def test_states_each_layer_rule(self, name, value, needle):
+        cfg = _small_cfg(**{name: value})
+        assert needle in cfg.problems()
+        with pytest.raises(ContractError, match=needle):
+            M.FremureModel(cfg, nc.Rng(0))
+
     def test_head_kwargs_follow_head_kind(self):
         assert _small_cfg().head_kwargs()["k"] == 3
         bayes = _small_cfg(flags=M.AblationFlags(head="bayesian"))
@@ -439,13 +455,13 @@ class TestBatchedTrunks:
         readouts = [nc.Tensor(rng.normals((len(rows), 8))) for _ in trunks]
 
         model.zero_grad()
-        batched = model._embed(feats, dpeg.clip_layout(frames, pair_ids))
+        layout = dpeg.clip_layout(frames, pair_ids, np.zeros_like(frames))
+        batched = model._embed(feats, layout)
         together = [batched[t] for t in M.TYPES][:len(trunks)]
         sum(((z * r).sum() for z, r in zip(together, readouts)), nc.Tensor(0.0)).backward()
         grads = {k: p.grad.copy() for k, p in model.parameters().items() if p.grad is not None}
 
         model.zero_grad()
-        layout = dpeg.clip_layout(frames, pair_ids)
         for trunk, prior, z, r in zip(trunks, priors, together, readouts):
             x = trunk.proj(nc.Tensor(feats))
             alone = nc.reshape(dpeg.encode_stacked(
@@ -632,7 +648,8 @@ class TestLeanTape:
     def _twenty_steps(head, backward):
         cfg = _small_cfg(window_w=4, window_s=2, flags=M.AblationFlags(head=head))
         model = M.FremureModel(cfg, nc.Rng(3))     # 3 frames: one window per track
-        opt = nc.Adam(model.parameters(), lr=1e-2)
+        t = M.TrainConfig(lr=1e-2)
+        opt = nc.Adam(model.parameters(), t.lr, t.beta1, t.beta2, t.eps)
         clips = [_clip(nc.Rng(10 + i), clip_id=i) for i in range(4)]
         for step in range(20):
             opt.zero_grad()
@@ -826,8 +843,8 @@ class TestEvalAndCheckpoint:
 
     def test_evaluate_is_deterministic_and_bounded(self):
         model, test = self._trained(head="bayesian")
-        r1 = M.evaluate(model, test, ks=(5, 10), seed=3)
-        r2 = M.evaluate(model, test, ks=(5, 10), seed=3)
+        r1 = M.evaluate(model, test, (5, 10), True, seed=3)
+        r2 = M.evaluate(model, test, (5, 10), True, seed=3)
         assert r1 == r2
         for k in (5, 10):
             assert 0.0 <= r1["recall"][k] <= 1.0
@@ -839,8 +856,8 @@ class TestEvalAndCheckpoint:
         back = M.model_from_checkpoint(doc)
         for key, p in model.parameters().items():
             assert np.array_equal(p.data, back.parameters()[key].data)
-        assert M.evaluate(back, test, ks=(5,), seed=0) == \
-            M.evaluate(model, test, ks=(5,), seed=0)
+        assert M.evaluate(back, test, (5,), True, seed=0) == \
+            M.evaluate(model, test, (5,), True, seed=0)
 
     def test_checkpoint_rejects_wrong_architecture(self):
         model, _ = self._trained()

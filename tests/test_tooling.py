@@ -8,7 +8,9 @@ benchmark, not only by the tests."""
 
 import ast
 import importlib.util
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +146,35 @@ def _definitions(paths) -> dict:
     return out
 
 
+def _code_lines(path) -> list:
+    """The lines of ``path`` with every comment and docstring blanked and
+    line numbers kept: prose that mentions a name does not use it. Other
+    string literals stay, since the tracer names its targets in strings."""
+    text = path.read_text()
+    lines = io.StringIO(text).readlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            (row, col), (_, end) = tok.start, tok.end
+            lines[row - 1] = lines[row - 1][:col] + lines[row - 1][end:]
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and body \
+                and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            for row in range(body[0].lineno, body[0].end_lineno + 1):
+                lines[row - 1] = "\n"
+    return lines
+
+
 def test_every_program_name_is_used_outside_the_tests():
-    # a name counts as used when it appears as a whole word on a line of the
-    # program or the benchmark outside the body of every definition of that
-    # name: a function that only names itself (a recursive call, its own
-    # error message) is not used
+    # a name counts as used when it appears as a whole word in the code (not
+    # a comment or docstring) of the program or the benchmark, outside the
+    # body of every definition of that name: a function that only names
+    # itself (a recursive call, its own error message) is not used
     src = sorted((ROOT / "src" / "fremure").glob("*.py"))
     lines = [(path, i, line) for path in src + sorted((ROOT / "bench").glob("*.py"))
-             for i, line in enumerate(path.read_text().splitlines(), start=1)]
+             for i, line in enumerate(_code_lines(path), start=1)]
     unused = []
     for name, sites in sorted(_definitions(src).items()):
         word = re.compile(rf"\b{name}\b")
