@@ -1,13 +1,13 @@
 """Command-line front end: dataset generation, training, evaluation,
 ablation sweeps, and gradient-conflict diagnostics as reproducible runs.
 
-Conventions shared by every command: configuration comes from a plain-text
-key=value file with dotted section prefixes (data.*, model.*, train.*,
-flags.*, plus bare seed/out); --seed and --out override the file; every
-output lands under the chosen directory together with a manifest that
-records the exact configuration, seed, and output hashes needed to replay
-the run. Exit codes: 0 success, 1 validation failure, 2 I/O failure,
-3 numerical abort.
+Conventions: gen-data, train and ablate read a plain-text key=value file
+(data.*, model.*, train.*, flags.*, plus bare seed/out), which --seed and
+--out override; eval and diagnose score a checkpoint's model with its seed,
+unless --seed is given. Every output lands under the chosen directory with
+a manifest that records the exact configuration, seed, and output hashes
+needed to replay the run. Exit codes: 0 success, 1 validation failure,
+2 I/O failure, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .data_metrics import (SyntheticConfig, generate_dataset, read_jsonl,
 from .data_metrics import group_clips  # noqa: F401
 from .errors import ConfigError, ContractError, NumericalError
 from .freqgate import FrequencyPrior
-from .model import (TYPES, AblationFlags, FremureModel, ModelConfig,
-                    TrainConfig, checkpoint_dict, clip_split, evaluate,
-                    field_types, grad_conflict, model_from_checkpoint, train)
+from .model import (TYPES, AblationFlags, ModelConfig, TrainConfig,
+                    checkpoint_dict, clip_split, evaluate, field_types,
+                    grad_conflict, model_from_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -235,17 +235,19 @@ def _require_files(*paths):
             raise FileNotFoundError(f"missing dataset file: {p}")
 
 
-def _load_model(path: str) -> FremureModel:
-    """The model of the checkpoint file ``path``; a ContractError names it."""
+def _load_checkpoint(path: str, seed=None) -> tuple:
+    """The model of the checkpoint file ``path`` and ``seed``, or the
+    checkpoint's own seed when None; a ContractError names the file."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise ContractError(f"checkpoint {path} is not valid JSON: {exc}")
     try:
-        return model_from_checkpoint(doc)
+        model = model_from_checkpoint(doc)
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from exc
+    return model, doc["seed"] if seed is None else seed
 
 
 def _read_split(path: str, cfg: ModelConfig):
@@ -332,9 +334,9 @@ def _uncertainty_rows(samples: dict) -> list:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.checkpoint)
+    model, seed = _load_checkpoint(args.checkpoint, args.seed)
     split = _read_split(args.data, model.cfg)
-    scores = evaluate(model, split, args.k, args.constraint, seed=args.seed)
+    scores = evaluate(model, split, args.k, args.constraint, seed=seed)
     _ensure_outdir(args.out)
     # encoded before any file is written, so a non-finite value leaves none
     samples_path = os.path.join(args.out, "eval_samples.jsonl")
@@ -369,7 +371,7 @@ def cmd_eval(args) -> int:
 
     files = {os.path.basename(p): _file_sha(p)
              for p in (report_path, csv_path, samples_path)}
-    _write_manifest(args.out, "eval", {"model": asdict(model.cfg), "seed": args.seed},
+    _write_manifest(args.out, "eval", {"model": asdict(model.cfg), "seed": seed},
                     {"checkpoint": args.checkpoint, "data": args.data,
                      "k": list(args.k), "constraint": args.constraint}, files)
     print(_mr_table(scores, args.k))
@@ -404,9 +406,6 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
     test_path = os.path.join(exp.out, "test.jsonl")
     _require_files(train_path, test_path)
 
-    unknown = [v for v in args.variants if v not in VARIANTS]
-    if unknown:
-        raise ConfigError([f"unknown variant '{v}'" for v in unknown])
     seeds = [exp.seed + i for i in range(args.seeds_per_variant)]
     # every variant keeps the data's widths, so one split serves them all
     split = _read_split(train_path, exp.model)
@@ -455,52 +454,27 @@ def cmd_ablate(exp: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(exp: ExperimentConfig, args) -> int:
-    _ensure_outdir(exp.out)
-    data_path = args.data or os.path.join(exp.out, "train.jsonl")
-    _require_files(data_path)
-    if args.checkpoint:
-        model = _load_model(args.checkpoint)
-        # the checkpoint's model runs, not the file's model section
-        config = {"model": asdict(model.cfg), "train": asdict(exp.train),
-                  "seed": exp.seed}
-    else:
-        model = FremureModel(exp.model, nc.Rng(exp.seed).spawn(0))
-        config = _experiment(exp)
-    split = _read_split(data_path, model.cfg)
-    opt = nc.Adam(model.parameters(), exp.train.lr, exp.train.beta1,
-                  exp.train.beta2, exp.train.eps)
-    root = nc.Rng(exp.seed)
-    rows = []
-    negative = 0
-    for step in range(1, args.steps + 1):
-        ci = (step - 1) % len(split)
-        clip = split.view(ci, ci + 1)
-        report = grad_conflict(model, clip, root.spawn(step))
-        doc = {"step": step}
-        doc.update(asdict(report))
-        rows.append(doc)
-        negative += sum(1 for v in report.cosines.values() if v < 0)
-        # advance one optimization step so later reports see trained weights
-        opt.zero_grad()
-        total, parts = model.total_loss(clip, root.spawn(10_000 + step),
-                                        training=True)
-        if not np.isfinite(parts["total"]):
-            raise NumericalError(f"non-finite loss at diagnose step {step}")
-        total.backward()
-        opt.step()
-
-    out_path = os.path.join(exp.out, "diagnose.jsonl")
-    lines = [_canonical(doc, out_path) + "\n" for doc in rows]
+def cmd_diagnose(args) -> int:
+    model, seed = _load_checkpoint(args.checkpoint, args.seed)
+    split = _read_split(args.data, model.cfg)
+    clips = [split.view(i, i + 1) for i in range(len(split))]
+    # clip i draws from the stream `predict_clips` gives it
+    root = nc.Rng(seed)
+    reports = [grad_conflict(model, clip, root.spawn(i)) for i, clip in enumerate(clips)]
+    out_path = os.path.join(args.out, "diagnose.jsonl")
+    # encoded before the directory is made, so a non-finite cosine leaves none
+    lines = [_canonical(dict(clip=int(clip.clip[0]), **asdict(report)), out_path) + "\n"
+             for clip, report in zip(clips, reports)]
+    _ensure_outdir(args.out)
     with open(out_path, "w") as fh:
         fh.writelines(lines)
-    _write_manifest(exp.out, "diagnose", config,
-                    {"steps": args.steps, "checkpoint": args.checkpoint,
-                     "data": data_path},
+    _write_manifest(args.out, "diagnose", {"model": asdict(model.cfg), "seed": seed},
+                    {"checkpoint": args.checkpoint, "data": args.data},
                     {os.path.basename(out_path): _file_sha(out_path)})
-    if report.applicable:
-        print(f"{args.steps} steps over {report.shared_params} shared parameters, "
-              f"{negative} negative pairwise cosines")
+    if reports[0].applicable:
+        negative = sum(v < 0 for r in reports for v in r.cosines.values())
+        print(f"{len(reports)} clips over {reports[0].shared_params} shared "
+              f"parameters, {negative} negative pairwise cosines")
     else:
         print("decoupled model: gradient conflict not applicable "
               "(zero shared parameters)")
@@ -517,27 +491,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError([message])
 
 
-def _parse_list(option: str, raw: str, kind: type = str) -> list:
-    """The comma-separated values of ``raw`` as ``kind``; a ConfigError
-    naming ``option`` when none is given or a value repeats."""
+# The ``type=`` parsers below raise ArgumentTypeError: argparse reports its text
+# ("argument --k: ..."), where it would hide a ValueError's (a ConfigError is one)
+
+def _option_list(raw: str, kind: type = str) -> list:
+    """The comma-separated values of ``raw`` as ``kind``, when there is at
+    least one and none repeats."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     try:
         values = [kind(p) for p in parts]
     except ValueError:
-        raise ConfigError([f"{option}: cannot parse '{raw}' as {kind.__name__} values"])
+        raise argparse.ArgumentTypeError(
+            f"cannot parse '{raw}' as {kind.__name__} values")
     if not values:
-        raise ConfigError([f"{option}: no value in '{raw}'"])
+        raise argparse.ArgumentTypeError(f"no value in '{raw}'")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
-        raise ConfigError([f"{option}: {repeated[0]!r} is given more than once"])
+        raise argparse.ArgumentTypeError(f"{repeated[0]!r} is given more than once")
     return values
 
 
-def _parse_k(raw: str):
-    ks = tuple(_parse_list("--k", raw, int))
+def _k_option(raw: str) -> tuple:
+    ks = tuple(_option_list(raw, int))
     if any(k < 1 for k in ks):
-        raise ConfigError(["--k needs positive integers"])
+        raise argparse.ArgumentTypeError("needs positive integers")
     return ks
+
+
+def _variants_option(raw: str) -> list:
+    variants = _option_list(raw)
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            "; ".join(f"unknown variant '{v}'" for v in unknown))
+    return variants
+
+
+def _count_option(raw: str) -> int:
+    try:
+        count = int(raw, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse '{raw}' as int")
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,18 +542,27 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Frequency-aware relation model experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_config=True):
-        p.add_argument("--config", required=need_config,
+    def add_common(p):
+        p.add_argument("--config", required=True,
                        help="key=value configuration file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the config output directory")
 
+    def add_scoring(p):
+        p.add_argument("--checkpoint", required=True,
+                       help="checkpoint JSON written by train")
+        p.add_argument("--data", required=True, help="records JSONL path")
+        p.add_argument("--out", default="runs", help="output directory")
+        p.add_argument("--seed", type=int, default=None,
+                       help="sampling seed (default: the checkpoint's)")
+
     def add_eval_opts(p):
-        p.add_argument("--k", default="10,20,50",
+        p.add_argument("--k", type=_k_option, default=TrainConfig.ks,
                        help="comma-separated recall cutoffs")
-        p.add_argument("--constraint", choices=("with", "no"), default="with",
+        p.add_argument("--constraint", choices=("with", "no"),
+                       default="with" if TrainConfig.constraint else "no",
                        help="single predicate per pair and type when ranking")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -567,44 +573,30 @@ def build_parser() -> argparse.ArgumentParser:
     add_eval_opts(p)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True, help="records JSONL path")
-    p.add_argument("--out", default="runs")
-    p.add_argument("--seed", type=int, default=0)
+    add_scoring(p)
     add_eval_opts(p)
 
     p = sub.add_parser("ablate", help="train every ablation variant")
     add_common(p)
     add_eval_opts(p)
-    p.add_argument("--variants", default=",".join(VARIANTS),
+    p.add_argument("--variants", type=_variants_option, default=list(VARIANTS),
                    help="comma-separated subset of " + ", ".join(VARIANTS))
-    p.add_argument("--seeds-per-variant", type=int, default=5)
+    p.add_argument("--seeds-per-variant", type=_count_option, default=5)
 
-    p = sub.add_parser("diagnose", help="per-step gradient conflict report")
-    add_common(p)
-    p.add_argument("--checkpoint", default=None,
-                   help="start from a checkpoint instead of a fresh model")
-    p.add_argument("--data", default=None,
-                   help="records JSONL (default: <out>/train.jsonl)")
-    p.add_argument("--steps", type=int, default=5)
+    p = sub.add_parser("diagnose",
+                       help="per-clip gradient conflict of a checkpoint")
+    add_scoring(p)
     return parser
 
 
 def _dispatch(args) -> int:
-    if getattr(args, "k", None) is not None:
-        args.k = _parse_k(args.k)
     if getattr(args, "constraint", None) is not None:
         args.constraint = args.constraint == "with"
-    if getattr(args, "steps", None) is not None and args.steps < 1:
-        raise ConfigError(["--steps must be >= 1"])
-    if getattr(args, "seeds_per_variant", None) is not None:
-        if args.seeds_per_variant < 1:
-            raise ConfigError(["--seeds-per-variant must be >= 1"])
-    if getattr(args, "variants", None) is not None:
-        args.variants = _parse_list("--variants", args.variants)
 
     if args.command == "eval":
         return cmd_eval(args)
+    if args.command == "diagnose":
+        return cmd_diagnose(args)
     exp = load_config(args.config, seed=args.seed, out=args.out)
     if args.command == "gen-data":
         return cmd_gen_data(exp, args)
@@ -612,8 +604,6 @@ def _dispatch(args) -> int:
         return cmd_train(exp, args)
     if args.command == "ablate":
         return cmd_ablate(exp, args)
-    if args.command == "diagnose":
-        return cmd_diagnose(exp, args)
     raise ConfigError([f"unknown command '{args.command}'"])
 
 

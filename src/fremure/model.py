@@ -460,32 +460,34 @@ def predict_clips(model: FremureModel, split: Split, rng: nc.Rng) -> Predictions
     """Score every class for every record of ``split``. Consecutive clips go
     through ``FremureModel.forward`` together, in packs of at most
     ``PACK_RECORDS`` records, and clip i draws from ``rng.spawn(i)`` as if
-    scored alone."""
+    scored alone. A non-finite probability or uncertainty value raises
+    NumericalError naming the first clip with one (numpy's warnings muted)."""
     ids = np.column_stack([_codes(split.clip, split.frame), split.subj, split.obj])
-    scores = []
-    uncertainty = {f"{t}_{kind}": [] for t in TYPES
-                   for kind in ("aleatoric", "epistemic")}
-    with nc.no_grad():
+    packs = []
+    with nc.no_grad(), np.errstate(all="ignore"):
         for lo, hi in _packs(np.diff(split.starts).tolist(), PACK_RECORDS):
             out = model.forward(split.view(lo, hi),
                                 [rng.spawn(ci) for ci in range(lo, hi)], training=False)
-            # columns in TYPES order are the global class numbering
-            scores.append(np.concatenate([out["probs"][t].data for t in TYPES],
-                                         axis=1))
-            for t in TYPES:
-                report = out["reports"][t]
-                uncertainty[f"{t}_aleatoric"].append(report.aleatoric_rows)
-                uncertainty[f"{t}_epistemic"].append(report.epistemic_rows)
-    scores = np.concatenate(scores)
-    n_cls = scores.shape[1]
+            # class columns in TYPES order are the global class numbering;
+            # each task's aleatoric and epistemic values follow them
+            reports = [out["reports"][t] for t in TYPES]
+            packs.append(np.column_stack(
+                [out["probs"][t].data for t in TYPES]
+                + [rows for r in reports for rows in (r.aleatoric_rows, r.epistemic_rows)]))
+    table = np.concatenate(packs)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"clip {split.clip[np.argmin(finite)]}: non-finite "
+                             f"class probability or uncertainty value")
+    names = [f"{t}_{kind}" for t in TYPES for kind in ("aleatoric", "epistemic")]
+    n_cls = table.shape[1] - len(names)
     entries = np.column_stack([np.repeat(ids, n_cls, axis=0),
                                np.tile(np.arange(n_cls), len(ids))])
     labels = np.concatenate([np.eye(model.cfg.attn_classes, dtype=bool)[split.attn],
                              split.spat != 0, split.cont != 0], axis=1)
     rec, cls = np.nonzero(labels)
-    return Predictions(entries, scores.ravel(), np.column_stack([ids[rec], cls]),
-                       {name: np.concatenate(rows).tolist()
-                        for name, rows in uncertainty.items()})
+    return Predictions(entries, table[:, :n_cls].ravel(), np.column_stack([ids[rec], cls]),
+                       {name: table[:, n_cls + j].tolist() for j, name in enumerate(names)})
 
 
 def clip_split(records, cfg: ModelConfig) -> Split:

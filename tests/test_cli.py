@@ -4,6 +4,8 @@ subcommands, exit codes, and byte-level determinism of the written artifacts."""
 import hashlib
 import json
 import os
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -561,14 +563,57 @@ def test_eval_non_finite_uncertainty_aborts_with_code_3(tmp_path, capsys):
     ckpt = tmp_path / "diverged.json"
     ckpt.write_text(json.dumps(doc))
     evaldir = tmp_path / "ev8"
+    data = os.path.join(outdir, "test.jsonl")
     capsys.readouterr()
-    with np.errstate(over="ignore"):
-        rc = main(["eval", "--checkpoint", str(ckpt),
-                   "--data", os.path.join(outdir, "test.jsonl"), "--out", str(evaldir)])
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", data, "--out", str(evaldir)])
     assert rc == 3
+    # scoring names the first clip with such a value, before any file exists
     err = capsys.readouterr().err
-    assert "numerical abort" in err and "eval_samples.jsonl" in err
-    assert sorted(os.listdir(evaldir)) == []        # nothing half written
+    assert f"numerical abort: clip {read_jsonl(data)[0].clip}: non-finite" in err
+    assert not evaldir.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+def test_huge_finite_feature_aborts_naming_its_clip(tmp_path, capsys, command):
+    # 1e308 meets the record file contract, and overflows in the forward pass
+    # of scoring: test.jsonl is each command's scored split
+    cfg, outdir = _gen(tmp_path)
+    if command == "eval":
+        assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    path = os.path.join(outdir, "test.jsonl")
+    docs = _jsonl(path)
+    docs[5]["feat"][0] = 1e308
+    Path(path).write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    evaldir = tmp_path / "ev"
+    argv = {"train": ["train", "--config", cfg, "--out", outdir],
+            "ablate": ["ablate", "--config", cfg, "--out", outdir,
+                       "--variants", "full+gmm", "--seeds-per-variant", "1"],
+            "eval": ["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                     "--data", path, "--out", str(evaldir)]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    assert (f"numerical abort: clip {docs[5]['clip']}: non-finite class probability "
+            f"or uncertainty value") in capsys.readouterr().err
+    written = {"train": os.path.join(outdir, "metrics.csv"),
+               "ablate": os.path.join(outdir, "ablation.csv"), "eval": evaldir}
+    assert not os.path.exists(written[command])
+
+
+def test_eval_scores_with_the_checkpoint_seed(tmp_path, capsys):
+    # a sampling head draws at eval, so only the training seed reproduces the
+    # run's own last validation
+    cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    final = capsys.readouterr().out.splitlines()[-1]
+    argv = ["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+            "--data", os.path.join(outdir, "test.jsonl"), "--out", str(tmp_path / "ev")]
+    assert main(argv) == 0
+    assert final == "final  " + capsys.readouterr().out.splitlines()[-1]
+    assert _json(tmp_path / "ev" / "eval_manifest.json")["seed"] == 11
+    assert main(argv + ["--seed", "0"]) == 0
+    assert final != "final  " + capsys.readouterr().out.splitlines()[-1]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -647,58 +692,123 @@ def test_variant_catalog_matches_contract():
 # ---------------------------------------------------------------------------
 
 
+def _diagnose(tmp_path, outdir, *extra, data="train.jsonl"):
+    """The output directory of `diagnose` run on ``outdir``'s checkpoint."""
+    diagdir = str(tmp_path / "diag")
+    assert main(["diagnose", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                 "--data", os.path.join(outdir, data), "--out", diagdir, *extra]) == 0
+    return diagdir
+
+
 def test_diagnose_shared_reports_bounded_cosines(tmp_path, capsys):
     cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
-    assert main(["diagnose", "--config", cfg, "--out", outdir,
-                 "--steps", "3"]) == 0
-    rows = _jsonl(os.path.join(outdir, "diagnose.jsonl"))
-    assert f"3 steps over {rows[0]['shared_params']} shared parameters" in \
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    capsys.readouterr()
+    diagdir = _diagnose(tmp_path, outdir)
+    rows = _jsonl(os.path.join(diagdir, "diagnose.jsonl"))
+    assert f"6 clips over {rows[0]['shared_params']} shared parameters" in \
         capsys.readouterr().out
-    assert [row["step"] for row in rows] == [1, 2, 3]
     for row in rows:
         assert row["applicable"] and row["shared_params"] > 0
         assert set(row["cosines"]) == {"attn_spat", "attn_cont", "spat_cont"}
         assert all(-1.0 <= v <= 1.0 for v in row["cosines"].values())
-    manifest = _json(os.path.join(outdir, "diagnose_manifest.json"))
+    manifest = _json(os.path.join(diagdir, "diagnose_manifest.json"))
     assert manifest["config"]["model"]["flags"]["decouple"] is False
-    assert set(manifest["options"]) == {"steps", "checkpoint", "data"}
-    # the config's flags.decouple is the one way to pick a shared trunk
-    assert main(["diagnose", "--config", cfg, "--out", outdir, "--shared"]) == 1
+    assert set(manifest["options"]) == {"checkpoint", "data"}
 
 
-def test_diagnose_decoupled_not_applicable(tmp_path, capsys):
-    cfg, outdir = _gen(tmp_path)
-    assert main(["diagnose", "--config", cfg, "--out", outdir,
-                 "--steps", "1"]) == 0
-    row = _jsonl(os.path.join(outdir, "diagnose.jsonl"))[0]
-    assert row == {"step": 1, "applicable": False, "shared_params": 0,
-                   "cosines": {}}
+def test_diagnose_decoupled_not_applicable(trained, tmp_path, capsys):
+    _, outdir = trained
+    capsys.readouterr()
+    rows = _jsonl(os.path.join(_diagnose(tmp_path, outdir), "diagnose.jsonl"))
+    assert rows == [{"clip": clip, "applicable": False, "shared_params": 0,
+                     "cosines": {}} for clip in range(6)]
     assert "not applicable" in capsys.readouterr().out
 
 
 def test_diagnose_can_start_from_checkpoint(tmp_path):
-    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
+    # each row is grad_conflict at the checkpoint's weights, clip i drawing
+    # from Rng(--seed).spawn(i); the sampling head makes the seed matter
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false", "flags.head": "bayesian"})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
-    assert main(["diagnose", "--config", cfg, "--out", outdir,
-                 "--checkpoint", os.path.join(outdir, "checkpoint.json"),
-                 "--steps", "1"]) == 0
-    row = _jsonl(os.path.join(outdir, "diagnose.jsonl"))[0]
-    assert row["applicable"]
+    checkpoint = os.path.join(outdir, "checkpoint.json")
+    diagdir = _diagnose(tmp_path, outdir, "--seed", "5")
+    rows = _jsonl(os.path.join(diagdir, "diagnose.jsonl"))
+    model = model_from_checkpoint(_json(checkpoint))
+    split = fm.clip_split(read_jsonl(os.path.join(outdir, "train.jsonl")), model.cfg)
+    for i, row in enumerate(rows):
+        want = fm.grad_conflict(model, split.view(i, i + 1), nc.Rng(5).spawn(i))
+        assert row == dict(clip=i, **asdict(want))
+    assert _json(os.path.join(diagdir, "diagnose_manifest.json"))["seed"] == 5
+    own_seed = _jsonl(os.path.join(_diagnose(tmp_path, outdir), "diagnose.jsonl"))
+    assert own_seed[0]["cosines"] != rows[0]["cosines"]
 
 
 def test_diagnose_manifest_records_the_checkpoint_model(tmp_path):
-    # the file's model section differs from the checkpoint's in width and head
     cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
     checkpoint = os.path.join(outdir, "checkpoint.json")
-    cfg = _cfg_file(tmp_path, **{"model.d": 12, "flags.head": "linear"})
-    assert main(["diagnose", "--config", cfg, "--out", outdir,
-                 "--checkpoint", checkpoint, "--steps", "1"]) == 0
-    config = _json(os.path.join(outdir, "diagnose_manifest.json"))["config"]
-    assert config["model"] == _json(checkpoint)["config"]
-    assert config["model"]["d"] == 8 and config["model"]["flags"]["head"] == "gmm_plus"
-    assert set(config) == {"model", "train", "seed"}
-    assert config["train"]["lr"] == 0.003 and config["seed"] == 11
+    diagdir = _diagnose(tmp_path, outdir)
+    manifest = _json(os.path.join(diagdir, "diagnose_manifest.json"))
+    # the seed is the checkpoint's unless --seed is given
+    assert manifest["config"] == {"model": _json(checkpoint)["config"], "seed": 11}
+    assert manifest["options"] == {"checkpoint": checkpoint,
+                                   "data": os.path.join(outdir, "train.jsonl")}
+
+
+def test_diagnose_of_an_untrained_checkpoint_matches_trains_start_model(tmp_path):
+    # a zero-epoch checkpoint is the model `train` starts from, priors from
+    # the training split's label counts included
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false", "train.epochs": 0})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    rows = _jsonl(os.path.join(_diagnose(tmp_path, outdir), "diagnose.jsonl"))
+    mcfg = parse_config(Path(cfg).read_text()).model
+    split = fm.clip_split(read_jsonl(os.path.join(outdir, "train.jsonl")), mcfg)
+    start = FremureModel(mcfg, nc.Rng(11).spawn(0))
+    start.set_priors(fm.label_counts(split, mcfg))
+    assert len(rows) == len(split)
+    for i, row in enumerate(rows):
+        want = fm.grad_conflict(start, split.view(i, i + 1), nc.Rng(11).spawn(i))
+        assert row == dict(clip=i, **asdict(want))
+        assert row["applicable"]
+
+
+def test_diagnose_writes_one_row_per_clip_of_its_data(tmp_path):
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false"})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    data = os.path.join(outdir, "test.jsonl")
+    diagdir = _diagnose(tmp_path, outdir, data="test.jsonl")
+    rows = _jsonl(os.path.join(diagdir, "diagnose.jsonl"))
+    assert [row["clip"] for row in rows] == [clip[0].clip
+                                            for clip in group_clips(read_jsonl(data))]
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("extra", [["--config", "exp.cfg"], ["--steps", "3"]])
+def test_diagnose_takes_no_config_and_no_steps(trained, tmp_path, capsys, extra):
+    _, outdir = trained
+    diagdir = tmp_path / "diag"
+    assert main(["diagnose", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                 "--data", os.path.join(outdir, "train.jsonl"),
+                 "--out", str(diagdir), *extra]) == 1
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not diagdir.exists()
+
+
+def test_diagnose_non_finite_cosine_writes_no_directory(tmp_path, capsys):
+    cfg, outdir = _gen(tmp_path, **{"flags.decouple": "false", "train.epochs": 0})
+    assert main(["train", "--config", cfg, "--out", outdir]) == 0
+    path = os.path.join(outdir, "train.jsonl")
+    docs = _jsonl(path)
+    docs[0]["feat"][0] = 1e308
+    Path(path).write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
+    diagdir = tmp_path / "diag"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["diagnose", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
+                     "--data", path, "--out", str(diagdir)]) == 3
+    assert "diagnose.jsonl: not written, non-finite value" in capsys.readouterr().err
+    assert not diagdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +880,8 @@ PINNED_OUTPUTS = {
                                 "model.multilabel_loss": "margin", "train.epochs": 2}, {
         "metrics.csv": "46e8195fe519deb48ae8f4ade902561a8293770ae9893739f145e39b0d5bb484",
         "checkpoint.json": "3639d609668fdec43324b3630dbcea7ea55bcfed83cd7719cd7af4b6d4072ba4",
-        "eval_report.json": "f88784f87de0cb2182ee023eb29c4ce99e00f15eb133e4107142e3778eb5cbfb",
-        "eval_samples.jsonl": "736b53553e9a92cb8f0b0f4a50ebf9b444ce7d0818b3290d2e4ea72dc2023178",
+        "eval_report.json": "9cfac0bf390633313c8fb7001e0229ca491bf1f4b5362e1000848c6eb9df756a",
+        "eval_samples.jsonl": "784f073c6bdb05d63474e7740deaf611c6291964d18f2495e2e1ceb4864d0dd3",
     }),
     "linear-no-frequency": ({"flags.head": "linear", "flags.frequency": "false",
                              "model.window_mode": "triangular"}, {

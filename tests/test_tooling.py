@@ -1,11 +1,14 @@
-"""The benchmark's hold on the program, and the program's hold on its own
-names. ``bench/tracing.py`` wraps functions by name, so a renamed one would
-make ``bench/run.py --trace 1`` fail or read 0; ``bench/checks.py`` reads the
-probabilities that ``FremureModel.forward`` returns and requires them in
-[0, 1], with attention rows summing to 1. Every function, class, method and
-module-level constant in ``src/fremure`` must be used by the program or the
-benchmark, not only by the tests."""
+"""The benchmark's hold on the program, the program's hold on its own
+names, and the README's hold on the command line. ``bench/tracing.py`` wraps
+functions by name, so a renamed one would make ``bench/run.py --trace 1``
+fail or read 0; ``bench/checks.py`` reads the probabilities that
+``FremureModel.forward`` returns and requires them in [0, 1], with attention
+rows summing to 1. Every function, class, method and module-level constant in
+``src/fremure`` must be used by the program or the benchmark, not only by the
+tests. Every option the README's usage block shows for a command is one the
+parser defines, and every required one is shown."""
 
+import argparse
 import ast
 import importlib.util
 import io
@@ -212,3 +215,29 @@ def test_every_program_field_and_attribute_is_read_outside_the_tests():
     unread = {name: sorted(sites) for name, sites in _fields_and_attributes(src).items()
               if name not in read}
     assert unread == {}
+
+
+def _readme_usage() -> dict:
+    """command -> the options its ``fremure <command>`` line shows in the
+    README's usage block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    usage = {}
+    for line in text.splitlines():
+        if line.startswith("fremure "):
+            command = line.split()[1]
+            assert command not in usage, f"two usage lines for {command}"
+            usage[command] = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+    return usage
+
+
+def test_readme_usage_block_matches_the_parser():
+    parser = fremure.cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    usage = _readme_usage()
+    assert set(usage) == set(commands)
+    for name, sub in commands.items():
+        defined = {s for a in sub._actions for s in a.option_strings}
+        required = {a.option_strings[0] for a in sub._actions if a.required}
+        assert usage[name] <= defined, (name, usage[name] - defined)
+        assert required <= usage[name], (name, required - usage[name])
