@@ -460,9 +460,12 @@ def cmd_diagnose(args) -> int:
     clips = [split.view(i, i + 1) for i in range(len(split))]
     # clip i draws from the stream `predict_clips` gives it
     root = nc.Rng(seed)
-    reports = [grad_conflict(model, clip, root.spawn(i)) for i, clip in enumerate(clips)]
+    with np.errstate(all="ignore"):
+        reports = [grad_conflict(model, clip, root.spawn(i)) for i, clip in enumerate(clips)]
+    for clip, report in zip(clips, reports):
+        if not np.isfinite(list(report.cosines.values())).all():
+            raise NumericalError(f"clip {clip.clip[0]}: non-finite gradient cosine")
     out_path = os.path.join(args.out, "diagnose.jsonl")
-    # encoded before the directory is made, so a non-finite cosine leaves none
     lines = [_canonical(dict(clip=int(clip.clip[0]), **asdict(report)), out_path) + "\n"
              for clip, report in zip(clips, reports)]
     _ensure_outdir(args.out)

@@ -7,14 +7,13 @@ for each tracked subject-object pair is then position-encoded by absolute
 frame index, re-encoded inside sliding temporal windows, and aggregated back
 to one embedding per (frame, pair).
 
-Generators of one architecture (a model's per-task trunks) run together as
-one pass, their weights stacked along a leading task axis (``encode_stacked``);
-a shared trunk is the one-task case of that pass. The sliding windows of a
-track block are one more batch axis: ``encode_global`` gathers them into a
-(..., windows, w, d) tensor and encodes them in one call, and
-``aggregate_windows`` scatters them back with one weight-matrix product. A
-layout may cover several clips (a pack); rows of different clips never share
-a frame group or a track.
+A ``Dpeg`` holds a model's per-task generators, each weight stacked once
+along a leading task axis, and ``encode_stacked`` runs them as one pass; a
+shared trunk is the one-task case. The sliding windows of a track block are
+one more batch axis: ``encode_global`` gathers them into a (..., windows, w,
+d) tensor and encodes them in one call, and ``aggregate_windows`` scatters
+them back with one weight-matrix product. A layout may cover several clips
+(a pack); rows of different clips never share a frame group or a track.
 
 Order conventions fixed here: fusion concatenates [head, tail, frequencies];
 window starts are 0, s, 2s, ... plus a final window ending at the last frame
@@ -39,8 +38,9 @@ from .freqgate import (INIT_SCALE, FrequencyGate, FrequencyPrior, frequency_corr
 # ---------------------------------------------------------------------------
 
 class BranchEncoder(nc.Module):
-    """Parameters of one post-norm transformer encoder layer over a token set,
-    which ``encoder_layer`` (or a ``stacked_encoder``) runs.
+    """Parameters of one post-norm transformer encoder layer over a token set
+    (2-D weights, as drawn), or of T such layers stacked along a leading task
+    axis by ``stack_tasks``; ``encoder_layer`` runs either.
 
     x = LN(x + attention(x)); x = LN(x + ffn(x)). No positional information
     is injected here, so the layer is permutation equivariant; temporal order
@@ -66,8 +66,8 @@ class BranchEncoder(nc.Module):
 
 def encoder_layer(x: nc.Tensor, weights: tuple, h: int) -> nc.Tensor:
     """The encoder layer over ``BranchEncoder.weights()``-ordered parameters:
-    2-D matrices for one encoder over x of shape (..., n, d), or the
-    task-stacked weights of ``stacked_encoder`` over x of shape (T, ..., n, d).
+    2-D matrices for one encoder over x of shape (..., n, d), or T stacked
+    encoders over x of shape (T, ..., n, d), slice t through encoder t.
     Leading axes are independent token sets; attention never crosses them.
     """
     qw, kw, vw, vb, ow, ob, f1w, f1b, f2w, f2b = weights
@@ -80,29 +80,21 @@ def encoder_layer(x: nc.Tensor, weights: tuple, h: int) -> nc.Tensor:
     return nc.layer_norm(nc.affine(hidden, f2w, f2b), residual=x)
 
 
-def stack_tasks(per_task, shapes=None) -> list:
-    """Per-task parameters stacked along a leading task axis.
-
-    per_task holds one tuple of tensors per task; the result has one tensor
-    per tuple position, made with ``nc.stack`` (``shapes``, when given, holds
-    the padded shape or None for each position). A single task's tuple is
-    returned as it is: every op that takes stacked weights broadcasts plain
-    weights over a size-1 task axis, so the one-trunk case copies nothing.
-    """
-    if len(per_task) == 1:
-        return list(per_task[0])
-    shapes = shapes or (None,) * len(per_task[0])
-    return [nc.stack(group, shape) for group, shape in zip(zip(*per_task), shapes)]
-
-
-def stacked_encoder(encoders):
-    """T same-sized encoders as one callable over (T, ..., n, d) inputs, slice
-    t going through encoder t; one encoder takes any (..., n, d). The weights
-    are stacked along a leading task axis when this is called, so build it
-    once per forward pass."""
-    weights = stack_tasks([e.weights() for e in encoders])
-    h = encoders[0].h
-    return lambda x: encoder_layer(x, weights, h)
+def stack_tasks(modules):
+    """``modules[0]``, each of its parameters replaced by a new leaf that
+    stacks the T same-structured modules' parameters of that name along a
+    leading task axis (``nc.stack``): slice t is module t's, zero-padded at
+    the end of each axis to the largest of the T shapes. Models call this
+    only while they are built, so no forward pass copies a weight."""
+    first = modules[0]
+    per_task = [m.parameters().values() for m in modules]
+    with nc.no_grad():
+        for name, group in zip(first.parameters(), zip(*per_task)):
+            stacked = nc.stack(group, np.max([t.shape for t in group], axis=0)).data
+            *path, attr = name.split(".")
+            setattr(functools.reduce(getattr, path, first), attr,
+                    nc.Tensor(stacked, requires_grad=True))
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +102,8 @@ def stacked_encoder(encoders):
 # ---------------------------------------------------------------------------
 
 class FusionGate(nc.Module):
-    """Per-element gate over [head || tail || frequency vector].
+    """Per-element gate over [head || tail || frequency vector], one task's
+    as drawn; a ``Dpeg`` stacks one per task.
 
     Zero bias and small weights at init keep the starting gate near 0.5 so
     neither branch dominates before training.
@@ -197,17 +190,18 @@ def _window_plan(length: int, w: int, s: int, mode: str) -> tuple:
     return index, rows, scatter, inverse
 
 
-def encode_global(z: nc.Tensor, frames, encoder, cfg: WindowConfig) -> nc.Tensor:
+def encode_global(z: nc.Tensor, frames, encoder: BranchEncoder,
+                  cfg: WindowConfig) -> nc.Tensor:
     """Add absolute-position encoding, then encode every sliding window in
     one pass.
 
     z: (..., L, d); leading axes are independent sequences over the same
-    frames. The windows, each m = min(w, L) positions long, are gathered
-    along a new window axis and ``encoder`` (a ``stacked_encoder``) runs once
-    over the (..., windows, m, d) result, which is returned; attention stays
-    inside a window. Absolute frame indices feed the encoding, so shifting a
-    whole clip in time changes the output; that is deliberate, not an
-    invariance.
+    frames, led by the task axis when ``encoder`` is a stack. The windows,
+    each m = min(w, L) positions long, are gathered along a new window axis
+    and ``encoder`` runs once over the (..., windows, m, d) result, which is
+    returned; attention stays inside a window. Absolute frame indices feed
+    the encoding, so shifting a whole clip in time changes the output; that
+    is deliberate, not an invariance.
     """
     length = z.shape[-2]
     if length == 0:
@@ -219,7 +213,7 @@ def encode_global(z: nc.Tensor, frames, encoder, cfg: WindowConfig) -> nc.Tensor
         raise ContractError("frame indices must be strictly increasing")
     x = z + nc.Tensor(pe_at(frames, z.shape[-1]))
     index = _window_plan(length, cfg.w, cfg.s, cfg.mode)[0]
-    return encoder(x[index])
+    return encoder_layer(x[index], encoder.weights(), encoder.h)
 
 
 def aggregate_windows(values: nc.Tensor, length: int, cfg: WindowConfig) -> nc.Tensor:
@@ -316,7 +310,11 @@ def clip_layout(frames, pair_ids, clips) -> ClipLayout:
 
 class Dpeg(nc.Module):
     """Local dual-branch encoding, gated fusion, windowed global refinement:
-    the parameters of one generator, which ``encode_stacked`` runs.
+    T generators of one architecture, which ``encode_stacked`` runs as one
+    pass. Slice t of each weight is what generator t, of ``class_counts[t]``
+    classes, draws alone from ``rngs[t]``; ``local`` stacks the T head
+    encoders, then the T tail encoders. Gate weight rows past a task's class
+    count are zero, meet only zero inputs, and so stay zero.
 
     ``dual_branch=False`` removes the tail branch and fusion gate entirely
     (the fused output is the head branch). ``frequency=False`` keeps the tail
@@ -324,21 +322,21 @@ class Dpeg(nc.Module):
     uniform frequency vector.
     """
 
-    def __init__(self, d: int, h: int, n_classes: int, rng: nc.Rng,
-                 window: WindowConfig, ffn_mult: int, dual_branch: bool,
-                 frequency: bool):
-        self.d = d
-        self.n_classes = n_classes
+    def __init__(self, d: int, h: int, class_counts, rngs, window: WindowConfig,
+                 ffn_mult: int, dual_branch: bool, frequency: bool):
+        self.class_counts = tuple(class_counts)
         self.dual_branch = dual_branch
         self.frequency = frequency
         self.window = window
-        self.head_enc = BranchEncoder(d, h, rng.spawn(0), ffn_mult)
+        self.local = stack_tasks([BranchEncoder(d, h, r.spawn(branch), ffn_mult)
+                                  for branch in ((0, 1) if dual_branch else (0,))
+                                  for r in rngs])
+        tasks = list(zip(class_counts, rngs))
         if dual_branch:
-            self.tail_enc = BranchEncoder(d, h, rng.spawn(1), ffn_mult)
-            self.fusion = FusionGate(d, n_classes, rng.spawn(2))
+            self.fusion = stack_tasks([FusionGate(d, n, r.spawn(2)) for n, r in tasks])
             if frequency:
-                self.freq_gate = FrequencyGate(n_classes, d, rng.spawn(3))
-        self.global_enc = BranchEncoder(d, h, rng.spawn(4), ffn_mult)
+                self.freq_gate = stack_tasks([FrequencyGate(n, d, r.spawn(3)) for n, r in tasks])
+        self.global_enc = stack_tasks([BranchEncoder(d, h, r.spawn(4), ffn_mult) for r in rngs])
 
 
 def _padded(rows, width: int) -> np.ndarray:
@@ -354,56 +352,47 @@ def _to_rows(chunks, inverse, tasks: int, d: int) -> nc.Tensor:
     return flat if inverse is None else flat[:, inverse]
 
 
-def encode_stacked(dpegs, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Tensor:
-    """Run T generators of one architecture as a single batched pass.
+def encode_stacked(dp: Dpeg, feats: nc.Tensor, layout: ClipLayout, priors) -> nc.Tensor:
+    """Run the T generators of ``dp`` as a single batched pass.
 
     feats: (T, N, d), slice t holding the clip rows for generator t; priors:
-    one per generator. Weights are stacked along a leading task axis at call
-    time, and the head and tail branches of all T generators run as one
-    local encoder pass over 2T slices. Generators with fewer classes have
-    their frequency inputs and gate weight rows zero-padded to the widest
-    class count, and zero rows add nothing, so slice t of the (T, N, d)
-    result equals generator t run alone up to summation order. Rows come
-    back aligned with the clip.
+    one per generator. Every op runs once for all T generators, the head and
+    tail branches as one local pass over 2T slices. Frequency inputs are
+    zero-padded to the widest class count, as the gate weights are, so slice
+    t of the (T, N, d) result equals generator t run alone up to summation
+    order. Rows come back aligned with the clip.
     """
-    first = dpegs[0]
-    tasks, d = len(dpegs), first.d
-    if not first.frequency:
-        priors = [FrequencyPrior(np.ones(dp.n_classes)) for dp in dpegs]
-    for dp, prior in zip(dpegs, priors):
-        if prior.n_classes != dp.n_classes:
+    tasks, d = feats.shape[0], feats.shape[-1]
+    counts = dp.class_counts
+    if not dp.frequency:
+        priors = [FrequencyPrior(np.ones(n)) for n in counts]
+    for n, prior in zip(counts, priors):
+        if prior.n_classes != n:
             raise ContractError(f"prior has {prior.n_classes} classes, "
-                                f"model expects {dp.n_classes}")
-    encoders = [dp.head_enc for dp in dpegs]
+                                f"model expects {n}")
     inputs = feats
-    if first.dual_branch:
-        width = max(dp.n_classes for dp in dpegs)
+    if dp.dual_branch:
+        width = max(counts)
         freqs = _padded([p.f for p in priors], width)         # (T, 1, width)
-        if first.frequency:
+        if dp.frequency:
             signal = _padded([p.log_inverse() for p in priors], width)
-            gate_w, gate_b = stack_tasks([(dp.freq_gate.w, dp.freq_gate.b) for dp in dpegs],
-                                         ((width, d), None))
-            g = gate_values(signal, gate_w, gate_b)           # (T, 1, d)
+            g = gate_values(signal, dp.freq_gate.w, dp.freq_gate.b)   # (T, 1, d)
         else:
             g = nc.Tensor(np.full((tasks, 1, d), 0.5))
-        fusion_w, fusion_b = stack_tasks([(dp.fusion.w, dp.fusion.b) for dp in dpegs],
-                                         ((2 * d + width, d), None))
         # slices [0, T) of the local pass are head branches, [T, 2T) tails
-        encoders += [dp.tail_enc for dp in dpegs]
         inputs = nc.concat([feats, frequency_correct(feats, g)], axis=0)
-    local = stacked_encoder(encoders)
+    local = dp.local.weights()
 
     chunks = []
     for block in layout.local:
-        z = local(inputs[:, block])                           # (T or 2T, frames, pairs, d)
-        if first.dual_branch:
-            z = gated_mix(z[:tasks], z[tasks:], freqs[:, None], fusion_w, fusion_b)
+        z = encoder_layer(inputs[:, block], local, dp.local.h)  # (T or 2T, frames, pairs, d)
+        if dp.dual_branch:
+            z = gated_mix(z[:tasks], z[tasks:], freqs[:, None], dp.fusion.w, dp.fusion.b)
         chunks.append(z)
     z = _to_rows(chunks, layout.local_inverse, tasks, d)
 
-    glob = stacked_encoder([dp.global_enc for dp in dpegs])
     chunks = []
     for block, frames in layout.tracks:
-        windows = encode_global(z[:, block], frames, glob, first.window)
-        chunks.append(aggregate_windows(windows, len(frames), first.window))
+        windows = encode_global(z[:, block], frames, dp.global_enc, dp.window)
+        chunks.append(aggregate_windows(windows, len(frames), dp.window))
     return _to_rows(chunks, layout.track_inverse, tasks, d)

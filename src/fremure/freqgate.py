@@ -45,7 +45,8 @@ class FrequencyPrior:
 
 
 class FrequencyGate(nc.Module):
-    """Learned map from the inverse-frequency signal to a per-feature gate.
+    """Learned map from the inverse-frequency signal to a per-feature gate,
+    one task's as drawn; a ``dpeg.Dpeg`` stacks one per task.
 
     W starts as small uniform noise and b at zero, so the initial gate sits
     near 0.5 and applies no correction bias.

@@ -12,12 +12,13 @@ head. Heads give
 logits; the attention and BCE losses take those logits, and the margin loss
 ranks the probabilities the heads build from them.
 
-Decoupled mode (the default) gives every task a disjoint stack: its own input
-projection, encoder, and head, so no parameter is touched by more than one
-task loss. Shared mode routes all tasks through a single trunk whose
-frequency machinery sees the concatenated label space; only the heads stay
-separate. ``grad_conflict`` quantifies why decoupling exists by measuring
-pairwise cosines between per-task gradients on the shared trunk.
+Decoupled mode (the default) gives every task a disjoint stack: its own slice
+of every trunk weight (stored once, with a leading task axis) and its own
+head, so no parameter element is touched by more than one task loss. Shared
+mode is the one-slice trunk, whose frequency machinery sees the concatenated
+label space; only the heads stay separate. ``grad_conflict`` quantifies why
+decoupling exists by measuring pairwise cosines between per-task gradients on
+the shared trunk.
 """
 
 from __future__ import annotations
@@ -236,29 +237,26 @@ class _RowStreams:
 
 
 class _Trunk(nc.Module):
-    """Input projection followed by the pair-encoding stack. A model's trunks
-    always run together, as one batched pass (``FremureModel._embed``)."""
+    """Input projection and pair-encoding stack of T tasks: slice t of each
+    weight is what a trunk of ``class_counts[t]`` classes draws from ``rngs[t]``."""
 
-    def __init__(self, cfg: ModelConfig, n_classes: int, rng: nc.Rng):
+    def __init__(self, cfg: ModelConfig, class_counts, rngs):
         window = WindowConfig(cfg.window_w, cfg.window_s, cfg.window_mode)
-        self.proj = nc.Linear(cfg.raw_dim, cfg.d, rng.spawn(0))
-        self.dpeg = Dpeg(cfg.d, cfg.h, n_classes, rng.spawn(1), window,
+        self.proj = stack_tasks([nc.Linear(cfg.raw_dim, cfg.d, r.spawn(0)) for r in rngs])
+        self.dpeg = Dpeg(cfg.d, cfg.h, class_counts, [r.spawn(1) for r in rngs], window,
                          cfg.ffn_mult, cfg.flags.dual_branch, cfg.flags.frequency)
 
 
 class FremureModel(nc.Module):
-    """Per-task (or shared) trunks plus one classification head per task."""
+    """One trunk, of 3 task slices (decoupled) or 1 (shared), and one head per task."""
 
     def __init__(self, cfg: ModelConfig, rng: nc.Rng):
         cfg.validate()
         self.cfg = cfg
         counts = cfg.class_counts()
-        if cfg.flags.decouple:
-            self.trunks = {t: _Trunk(cfg, counts[t], rng.spawn(i))
-                           for i, t in enumerate(TYPES)}
-        else:
-            total = sum(counts.values())
-            self.trunks = {"shared": _Trunk(cfg, total, rng.spawn(0))}
+        sizes = ([counts[t] for t in TYPES] if cfg.flags.decouple
+                 else [sum(counts.values())])
+        self.trunk = _Trunk(cfg, sizes, [rng.spawn(i) for i in range(len(sizes))])
         self.heads = {t: build_head(cfg.flags.head, cfg.d, counts[t],
                                     rng.spawn(3 + i), TYPE_MODES[t],
                                     **cfg.head_kwargs())
@@ -276,9 +274,6 @@ class FremureModel(nc.Module):
         self.priors = {t: FrequencyPrior(counts[t]) for t in TYPES}
         self.global_prior = FrequencyPrior(
             np.concatenate([self.priors[t].counts for t in TYPES]))
-
-    # priors live outside the parameter tree; Module.parameters would otherwise
-    # not see them anyway since FrequencyPrior holds plain arrays.
 
     def _split(self, clip) -> Split:
         """``clip`` if a `Split`, else the Split of its records in order."""
@@ -325,23 +320,16 @@ class FremureModel(nc.Module):
         return out
 
     def _embed(self, feats: np.ndarray, layout) -> dict:
-        """Every trunk in one pass: projection and generator weights are
-        stacked along a leading trunk axis, so the three decoupled trunks cost
-        one set of batched ops instead of three. Slice i of the result is
-        trunk i's embedding of the clip."""
-        trunks = list(self.trunks.values())
-        if self.cfg.flags.decouple:
-            priors = [self.priors[t] for t in TYPES]
-        else:
-            priors = [self.global_prior]
-        raw = Tensor(feats[None].repeat(len(trunks), axis=0))
-        w, b = stack_tasks([(tr.proj.w, tr.proj.b) for tr in trunks])
-        proj = nc.affine(raw, w, b)
-        z = encode_stacked([tr.dpeg for tr in trunks], proj, layout, priors)
-        if not self.cfg.flags.decouple:
-            shared = z[0]
-            return {t: shared for t in TYPES}
-        return {t: z[i] for i, t in enumerate(TYPES)}
+        """The trunk in one pass of batched ops over its task axis. The decouple
+        flag picks the priors and which slice of the result each head reads:
+        its own, or the one shared slice."""
+        decouple = self.cfg.flags.decouple
+        priors = [self.priors[t] for t in TYPES] if decouple else [self.global_prior]
+        proj = self.trunk.proj
+        raw = Tensor(feats[None].repeat(len(priors), axis=0))
+        z = encode_stacked(self.trunk.dpeg, nc.affine(raw, proj.w, proj.b), layout, priors)
+        slices = [z[i] for i in range(len(priors))]
+        return {t: slices[i if decouple else 0] for i, t in enumerate(TYPES)}
 
     def _type_losses(self, clip, rng, training):
         view = self._split(clip)
@@ -395,7 +383,7 @@ def grad_conflict(model: FremureModel, clip, rng: nc.Rng | None = None) -> Confl
     if model.cfg.flags.decouple:
         return ConflictReport(False, 0, {})
     losses, _ = model._type_losses(clip, rng, training=False)
-    shared = model.trunks["shared"].parameters()
+    shared = model.trunk.parameters()
     vecs = {}
     for t in TYPES:
         model.zero_grad()
@@ -572,7 +560,9 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
         for j, ci in enumerate(order):
             clip = split.view(ci, ci + 1)
             opt.zero_grad()
-            total, parts = model.total_loss(clip, epoch_rng.spawn(j), training=True)
+            # an overflow is named below as a non-finite loss, not by numpy
+            with np.errstate(all="ignore"):
+                total, parts = model.total_loss(clip, epoch_rng.spawn(j), training=True)
             if not np.isfinite(parts["total"]):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, "
                                      f"step {j} (clip {clip.clip[0]})")
@@ -638,9 +628,12 @@ def model_from_checkpoint(doc: dict) -> FremureModel:
     model = FremureModel(cfg, nc.Rng(seed).spawn(0))
     model.set_priors({t: _numbers(priors.get(t), f"priors.{t}") for t in TYPES})
     params = model.parameters()
-    if set(stored) != set(params):
-        raise ContractError("checkpoint parameter names do not match the "
-                            "configured architecture")
+    missing = next((key for key in params if key not in stored), None)
+    unexpected = next((key for key in stored if key not in params), None)
+    if missing or unexpected:
+        raise ContractError("checkpoint parameter names do not match the configured "
+                            f"architecture (first missing: {missing}; first "
+                            f"unexpected: {unexpected})")
     for key, p in params.items():
         arr = _numbers(stored[key], f"parameters.{key}")
         if arr.shape != p.data.shape:

@@ -6,9 +6,9 @@ the design:
 
 * all arithmetic is double precision, so central-difference gradient checks
   are meaningful at h ~ 1e-5;
-* gradients live on an explicit tape: ``backward()`` accumulates into the
-  ``.grad`` of leaves until the caller resets them, which is what the
-  optimizer step expects; it never visits a constant, and an op's backward
+* gradients live on an explicit tape: ``backward()`` adds into the ``.grad``
+  of leaves (in training, views of the optimizer's arena) until the caller
+  resets them; it never visits a constant, and an op's backward
   computes no gradient for an operand that does not require one;
 * every random draw comes from :class:`Rng`, a counter-based generator with a
   fully documented output function, so identical seeds give bit-identical
@@ -17,6 +17,7 @@ the design:
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -61,8 +62,9 @@ class Tensor:
 
     ``requires_grad`` marks leaves the tape should differentiate; results of
     operations on such tensors carry backward closures. A leaf's ``grad`` is
-    ``None`` until the first ``backward()`` reaches it and accumulates across
-    subsequent calls until reset; an op result's ``grad`` stays ``None``.
+    ``None`` until ``Adam.zero_grad`` points it at its view of the optimizer's
+    arena or the first ``backward()`` reaching it stores a copy; later calls
+    add into it in place until reset. An op result's ``grad`` stays ``None``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -99,8 +101,8 @@ class Tensor:
     def backward(self):
         """Backpropagate from a scalar; accumulates into the ``.grad`` slots
         of the leaves that require gradients (the parameters and other
-        tensors made with ``requires_grad=True``). Constants are never
-        visited, and intermediate results keep ``.grad`` None."""
+        tensors made with ``requires_grad=True``), in place. Constants are
+        never visited, and intermediate results keep ``.grad`` None."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss tensor")
         if not self.requires_grad:
@@ -126,7 +128,10 @@ class Tensor:
             if grad is None:
                 continue
             if node._backward is None:
-                node.grad = grad.copy() if node.grad is None else node.grad + grad
+                if node.grad is None:
+                    node.grad = grad.copy()
+                else:
+                    node.grad += grad
                 continue
             parent_grads = node._backward(grad)
             for parent, pgrad in zip(node._parents, parent_grads):
@@ -789,6 +794,20 @@ class Rng:
 # Adam optimizer
 # ---------------------------------------------------------------------------
 
+def keep_freed_memory():
+    """Have glibc keep the heap memory this process frees. Each training step
+    frees a tape of a few MB; glibc's default returns a freed heap top to the
+    system, and the next step faults it in again. Both thresholds start at
+    the ceiling of glibc's own adaptive rule. A no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)           # M_TRIM_THRESHOLD
+
+
 # elements per Adam update chunk: small enough that the chunk's temporaries
 # stay in cache, large enough that per-chunk dispatch is negligible
 ADAM_CHUNK = 1 << 14
@@ -799,65 +818,58 @@ class Adam:
 
     Update per step t: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
-    Parameters with no gradient are treated as g = 0.
+    A parameter the backward pass never reaches has g = 0.
 
     Construction copies every parameter into one float64 buffer and rebinds
-    each ``p.data`` to a view of it; ``m``, ``v`` and the gathered gradients
-    are flat buffers in the same layout. ``step`` runs the update over
-    ``ADAM_CHUNK`` elements at a time with two preallocated temporaries.
-    Every operation is elementwise, so the result is bitwise that of a
-    per-tensor update. A parameter whose ``data`` is rebound afterwards has
-    left the arena, and ``step`` refuses to run.
+    each ``p.data`` to a view of it; ``m``, ``v`` and the gradients are flat
+    buffers in the same layout. ``zero_grad`` zeroes the gradients and points
+    each ``p.grad`` at its view, which ``Tensor.backward`` adds into, so
+    ``step`` copies no gradient. It runs the update over ``ADAM_CHUNK``
+    elements at a time with two preallocated temporaries. Every operation is
+    elementwise, so the result is bitwise that of a per-tensor update. A
+    parameter whose ``data`` or ``grad`` is rebound afterwards has left the
+    arena, and ``step`` refuses to run. Construction calls
+    ``keep_freed_memory``, for the tape each step builds and frees.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float, beta2: float,
                  eps: float):
-        self.params = dict(params)
+        keep_freed_memory()
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._spans = []         # (key, start, stop, shape) per parameter
-        owner, start = {}, 0
-        for key, p in self.params.items():
-            if id(p) in owner:
+        owner = {}
+        for key, p in params.items():
+            if owner.setdefault(id(p), key) != key:
                 raise ContractError(f"parameters '{owner[id(p)]}' and '{key}' "
                                     "are the same tensor")
-            owner[id(p)] = key
-            self._spans.append((key, start, start + p.data.size, p.data.shape))
-            start += p.data.size
-        self.flat = np.empty(start)
-        self.m = np.zeros(start)
-        self.v = np.zeros(start)
-        self._grad = np.zeros(start)
-        views, grads = self._split(self.flat), self._split(self._grad)
+        size = sum(p.data.size for p in params.values())
+        self.flat = np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._grad = np.zeros(size)
         self._slots = []         # (key, parameter, its view, its gradient's view)
-        for key, p in self.params.items():
-            views[key][...] = p.data
-            p.data = views[key]
-            self._slots.append((key, p, views[key], grads[key]))
-        size = min(ADAM_CHUNK, start)
-        self._tmp = (np.empty(size), np.empty(size))
-
-    def _split(self, flat: np.ndarray) -> dict:
-        """Per-parameter views of an arena-shaped flat array."""
-        return {key: flat[lo:hi].reshape(shape)
-                for key, lo, hi, shape in self._spans}
+        start = 0
+        for key, p in params.items():
+            stop = start + p.data.size
+            view = self.flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append((key, p, view, self._grad[start:stop].reshape(view.shape)))
+            start = stop
+        chunk = min(ADAM_CHUNK, size)
+        self._tmp = (np.empty(chunk), np.empty(chunk))
 
     def step(self):
         for key, p, view, gview in self._slots:
             if p.data is not view:
                 raise ContractError(f"parameter '{key}' was rebound after the "
                                     "optimizer was built")
-            g = p.grad
-            if g is None:
-                gview.fill(0.0)
-            elif g.shape != view.shape:
-                raise ContractError(f"gradient shape {g.shape} != parameter shape "
-                                    f"{view.shape} for '{key}'")
-            else:
-                gview[...] = g
+            if p.grad is not gview:
+                raise ContractError(f"the gradient of '{key}' is not its view of "
+                                    "the optimizer's arena (zero_grad first)")
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1 ** self.t
@@ -883,5 +895,6 @@ class Adam:
             p -= t1
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self._grad.fill(0.0)
+        for _, p, _, gview in self._slots:
+            p.grad = gview

@@ -90,7 +90,10 @@ def backward_visiting_everything(root: nc.Tensor):
         if grad is None:
             continue
         if node.requires_grad:
-            node.grad = grad.copy() if node.grad is None else node.grad + grad
+            if node.grad is None:
+                node.grad = grad.copy()
+            else:
+                node.grad += grad
         if node._backward is None:
             continue
         for parent, pgrad in zip(node._parents, node._backward(grad)):

@@ -124,11 +124,19 @@ def test_criterion_2_closed_form_values():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_attention_loss_never_touches_other_branches():
+    """Every trunk tensor has a task axis of T=3: the attention task owns
+    slice 0, and slice T too in the local stack of T head and T tail
+    encoders. Its loss must leave every other slice's gradient, and every
+    spatial and contact head gradient, exactly zero, and reach each trunk
+    tensor's attention slices."""
     cfg = fm.ModelConfig(raw_dim=6, d=8, h=2, attn_classes=2, spat_classes=4,
                          cont_classes=4, window_w=2, window_s=1)
     model = fm.FremureModel(cfg, nc.Rng(1))
+    tasks = len(fm.TYPES)
+    trunk = [name for name in model.parameters() if name.startswith("trunk.")]
     leaks = []
     attn_reached = 0
+    trunk_reached = set()
     for i in range(100):
         clip = _clip(nc.Rng(3000 + i), n_frames=1 + i % 3,
                      n_pairs=1 + (i * 7) % 3, clip_id=i)
@@ -136,16 +144,27 @@ def test_criterion_3_attention_loss_never_touches_other_branches():
         losses, _ = model._type_losses(clip, nc.Rng(7).spawn(i), training=True)
         losses["attn"].backward()
         for name, p in model.parameters().items():
-            task = name.split(".")[1]
-            if task in ("spat", "cont"):
-                if p.grad is not None and np.any(p.grad):
-                    leaks.append(f"batch {i}: {name}")
-            elif task == "attn" and p.grad is not None and np.any(p.grad):
+            grad = np.zeros_like(p.data) if p.grad is None else p.grad
+            if name in trunk:
+                attn = np.zeros(p.shape[0], dtype=bool)
+                attn[::tasks] = True        # slice 0, and slice T of a 2T stack
+                if np.any(grad[~attn]):
+                    leaks.append(f"batch {i}: {name} outside the attention slices")
+                if np.any(grad[attn]):
+                    trunk_reached.add(name)
+                continue
+            task = name.split(".")[1]       # heads.<task>.*
+            if task in ("spat", "cont") and np.any(grad):
+                leaks.append(f"batch {i}: {name}")
+            elif task == "attn" and np.any(grad):
                 attn_reached += 1
     model.zero_grad()
-    ok = not leaks and attn_reached > 0
+    ok = not leaks and attn_reached > 0 and trunk and trunk_reached == set(trunk)
     _verdict(3, ok, "100 random batches, attention-loss backward left every "
-                    "spatial/contact parameter gradient identically zero"
+                    "spatial/contact head gradient and every trunk gradient "
+                    "outside the attention slices identically zero; "
+                    f"{len(trunk_reached)}/{len(trunk)} trunk tensors reached "
+                    "inside them"
                     + (f"; LEAKED: {leaks[:3]}" if leaks else ""))
 
 

@@ -526,6 +526,25 @@ def test_eval_checkpoint_non_finite_value_names_file_and_key(trained, tmp_path, 
             in capsys.readouterr().err)
 
 
+def test_eval_checkpoint_of_the_per_task_trunk_layout_names_its_keys(trained, tmp_path,
+                                                                     capsys):
+    # checkpoints written before the trunk kept one task-stacked tensor per
+    # weight hold per-task names such as trunks.attn.proj.w
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    doc["parameters"]["trunks.attn.proj.w"] = doc["parameters"].pop("trunk.proj.w")[0]
+    ckpt = tmp_path / "old.json"
+    ckpt.write_text(json.dumps(doc))
+    evaldir = tmp_path / "ev10"
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"), "--out", str(evaldir)])
+    assert rc == 1
+    assert (f"{ckpt}: checkpoint parameter names do not match the configured "
+            "architecture (first missing: trunk.proj.w; first unexpected: "
+            "trunks.attn.proj.w)") in capsys.readouterr().err
+    assert not evaldir.exists()
+
+
 def test_eval_head_or_tail_bucket_without_classes_is_null(tmp_path):
     # one test record: no class of the head bucket occurs in its labels, so
     # that bucket has no mean recall to report
@@ -573,31 +592,49 @@ def test_eval_non_finite_uncertainty_aborts_with_code_3(tmp_path, capsys):
     assert not evaldir.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "eval"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "diagnose", "train-step"])
 def test_huge_finite_feature_aborts_naming_its_clip(tmp_path, capsys, command):
-    # 1e308 meets the record file contract, and overflows in the forward pass
-    # of scoring: test.jsonl is each command's scored split
-    cfg, outdir = _gen(tmp_path)
-    if command == "eval":
+    # 1e308 meets the record file contract, and overflows in the forward pass.
+    # In test.jsonl it is in the scored split of train, ablate and eval; in
+    # train.jsonl it ends a training step ("train-step"), or the gradients
+    # diagnose takes of its clip on a shared trunk. Every case names the clip,
+    # lets no numpy warning out, and writes no output
+    cfg, outdir = _gen(tmp_path, **({"flags.decouple": "false"}
+                                    if command == "diagnose" else {}))
+    if command in ("eval", "diagnose"):
         assert main(["train", "--config", cfg, "--out", outdir]) == 0
-    path = os.path.join(outdir, "test.jsonl")
+    path = os.path.join(outdir, "train.jsonl" if command in ("diagnose", "train-step")
+                        else "test.jsonl")
     docs = _jsonl(path)
     docs[5]["feat"][0] = 1e308
     Path(path).write_text("\n".join(json.dumps(doc) for doc in docs) + "\n")
     evaldir = tmp_path / "ev"
-    argv = {"train": ["train", "--config", cfg, "--out", outdir],
+    checkpoint = os.path.join(outdir, "checkpoint.json")
+    train = ["train", "--config", cfg, "--out", outdir]
+    argv = {"train": train, "train-step": train,
             "ablate": ["ablate", "--config", cfg, "--out", outdir,
                        "--variants", "full+gmm", "--seeds-per-variant", "1"],
-            "eval": ["eval", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
-                     "--data", path, "--out", str(evaldir)]}[command]
+            "eval": ["eval", "--checkpoint", checkpoint, "--data", path,
+                     "--out", str(evaldir)],
+            "diagnose": ["diagnose", "--checkpoint", checkpoint, "--data", path,
+                         "--out", str(evaldir)]}[command]
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 3
-    assert (f"numerical abort: clip {docs[5]['clip']}: non-finite class probability "
-            f"or uncertainty value") in capsys.readouterr().err
+    clip = docs[5]["clip"]
+    want = {"diagnose": f"numerical abort: clip {clip}: non-finite gradient cosine",
+            "train-step": f"numerical abort: non-finite loss at epoch 0, step "}.get(
+        command, f"numerical abort: clip {clip}: non-finite class probability "
+                 f"or uncertainty value")
+    err = capsys.readouterr().err
+    assert want in err
+    if command == "train-step":
+        assert err.rstrip().endswith(f"(clip {clip})")
     written = {"train": os.path.join(outdir, "metrics.csv"),
-               "ablate": os.path.join(outdir, "ablation.csv"), "eval": evaldir}
+               "train-step": os.path.join(outdir, "metrics.csv"),
+               "ablate": os.path.join(outdir, "ablation.csv"), "eval": evaldir,
+               "diagnose": evaldir}
     assert not os.path.exists(written[command])
 
 
@@ -807,7 +844,9 @@ def test_diagnose_non_finite_cosine_writes_no_directory(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["diagnose", "--checkpoint", os.path.join(outdir, "checkpoint.json"),
                      "--data", path, "--out", str(diagdir)]) == 3
-    assert "diagnose.jsonl: not written, non-finite value" in capsys.readouterr().err
+    # the clip is named before any line is encoded
+    assert (f"numerical abort: clip {docs[0]['clip']}: non-finite gradient cosine"
+            in capsys.readouterr().err)
     assert not diagdir.exists()
 
 
@@ -872,21 +911,21 @@ def test_seed_flag_overrides_config(tmp_path):
 PINNED_OUTPUTS = {
     "gmm_plus": ({}, {
         "metrics.csv": "ffc94aa7155ec0454364ce2ff068415a892643f41b58050462ba860bf6ff8683",
-        "checkpoint.json": "54d01d0aff93b19f95986b793bcaf0a0912a2e98bd9234bf009085425e0fee2a",
+        "checkpoint.json": "bcd8503c571e423f432d24e2ae821d7b1e51c0342e450e4d0bd1b5c18f69464c",
         "eval_report.json": "654435f1d2304b6af746eaf0144a84fcefc16c469543a0888a229f06f6944756",
         "eval_samples.jsonl": "f50c05642a27b1fa33cc09ffb8ddabaec2af6fc83688ffe091f25551b00ea19b",
     }),
     "bayesian-shared-margin": ({"flags.head": "bayesian", "flags.decouple": "false",
                                 "model.multilabel_loss": "margin", "train.epochs": 2}, {
         "metrics.csv": "46e8195fe519deb48ae8f4ade902561a8293770ae9893739f145e39b0d5bb484",
-        "checkpoint.json": "3639d609668fdec43324b3630dbcea7ea55bcfed83cd7719cd7af4b6d4072ba4",
+        "checkpoint.json": "0b28ecb1c8eb928ceb9c1f561be28aae6e4b7d81a64bfac1969f0f8202e180d6",
         "eval_report.json": "9cfac0bf390633313c8fb7001e0229ca491bf1f4b5362e1000848c6eb9df756a",
         "eval_samples.jsonl": "784f073c6bdb05d63474e7740deaf611c6291964d18f2495e2e1ceb4864d0dd3",
     }),
     "linear-no-frequency": ({"flags.head": "linear", "flags.frequency": "false",
                              "model.window_mode": "triangular"}, {
         "metrics.csv": "aa97e504fce808bc07445283f3d1f8e5634331c1147a9120f7868e1ccdf32899",
-        "checkpoint.json": "86c4a1eaf0868457cbd51695b218a3e1fa3827b079256d06cac55328c8e3daed",
+        "checkpoint.json": "e0e663c340b19c2d3f56365237044db5ac8b44b95d148dfb72a70728a41378e5",
         "eval_report.json": "0bda4fb64438d3add6230f80664a8d7e853260b15d4eb2a19b107f12888b76a3",
         "eval_samples.jsonl": "78e3d61fca2a10dff23ac4d7ed8d2b8cacbeaee880a21ea54a8698758ba6df6f",
     }),

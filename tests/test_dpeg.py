@@ -1,5 +1,7 @@
 """Dual-branch embedder: encoders, fusion, positional encoding, windows."""
 
+import copy
+import functools
 import math
 
 import numpy as np
@@ -28,8 +30,19 @@ def _encoder(d, h, rng) -> dpeg.BranchEncoder:
 
 def _dpeg(d, h, n_classes, rng, window=None, dual_branch=CFG.flags.dual_branch,
           frequency=CFG.flags.frequency) -> dpeg.Dpeg:
-    return dpeg.Dpeg(d, h, n_classes, rng, window or _window(), CFG.ffn_mult,
+    """One generator: a stack of one task."""
+    return dpeg.Dpeg(d, h, [n_classes], [rng], window or _window(), CFG.ffn_mult,
                      dual_branch, frequency)
+
+
+def _task(module, t):
+    """Slice t of a task-stacked module: a module of the same class whose
+    every parameter is a view of that slice."""
+    out = copy.deepcopy(module)
+    for name, p in module.parameters().items():
+        *path, attr = name.split(".")
+        setattr(functools.reduce(getattr, path, out), attr, nc.Tensor(p.data[t]))
+    return out
 
 
 def _layout(frames, pair_ids) -> dpeg.ClipLayout:
@@ -71,7 +84,7 @@ def _windows_oracle(z: nc.Tensor, frames, encoder, cfg: dpeg.WindowConfig) -> li
     x = z + nc.Tensor(dpeg.pe_at(frames, z.shape[-1]))
     length = z.shape[-2]
     w = min(cfg.w, length)
-    return [(start, encoder(x[..., start:start + w, :]))
+    return [(start, _encode(encoder, x[..., start:start + w, :]))
             for start in dpeg.window_starts(length, w, cfg.s)]
 
 
@@ -105,7 +118,8 @@ def _global(z, frames, encoder, cfg) -> nc.Tensor:
 
 def _encode(enc: dpeg.BranchEncoder, x) -> nc.Tensor:
     """One encoder layer over x, (..., n, d), as the generator runs it."""
-    return dpeg.stacked_encoder([enc])(x if isinstance(x, nc.Tensor) else nc.Tensor(x))
+    x = x if isinstance(x, nc.Tensor) else nc.Tensor(x)
+    return dpeg.encoder_layer(x, enc.weights(), enc.h)
 
 
 def _zero_mixing(enc: dpeg.BranchEncoder):
@@ -128,7 +142,7 @@ def _run(dp: dpeg.Dpeg, feats, frames, pair_ids, prior) -> nc.Tensor:
     """One generator over one clip: the one-task case of ``encode_stacked``,
     rows aligned with ``feats``."""
     x = feats if isinstance(feats, nc.Tensor) else nc.Tensor(feats)
-    z = dpeg.encode_stacked([dp], nc.reshape(x, (1,) + x.shape),
+    z = dpeg.encode_stacked(dp, nc.reshape(x, (1,) + x.shape),
                             _layout(frames, pair_ids), [prior])
     return nc.reshape(z, x.shape)
 
@@ -169,9 +183,16 @@ def test_encoder_matches_scripted_attention_trace():
 
 
 def test_stacked_encoders_equal_each_encoder_alone():
+    # slice t of the stack starts as exactly what encoder t draws alone, and
+    # runs as encoder t does
     encs = [_encoder(8, 2, nc.Rng(60).spawn(i)) for i in range(3)]
+    stacked = dpeg.stack_tasks([_encoder(8, 2, nc.Rng(60).spawn(i)) for i in range(3)])
+    assert stacked.q.w.shape == (3, 8, 8) and stacked.k.b is None
+    for got, want in zip(stacked.weights(), zip(*(e.weights() for e in encs))):
+        assert got.requires_grad and got._parents == ()
+        assert np.array_equal(got.data, np.stack([w.data for w in want]))
     x = nc.Rng(61).normals((3, 2, 4, 8))          # (task, sets, tokens, d)
-    got = dpeg.stacked_encoder(encs)(nc.Tensor(x)).data
+    got = _encode(stacked, x).data
     for t, enc in enumerate(encs):
         want = np.stack([_encoder_oracle(x[t, i], enc) for i in range(2)])
         assert np.allclose(got[t], want, atol=1e-12)
@@ -184,8 +205,8 @@ def test_tail_branch_with_zero_gate_collapses_to_head():
     window = _window(w=2, s=1)
     full = _dpeg(6, 2, 3, nc.Rng(8), window=window)
     bare = _dpeg(6, 2, 3, nc.Rng(8), window=window, dual_branch=False)
-    for key, p in full.tail_enc.parameters().items():
-        p.data = np.array(full.head_enc.parameters()[key].data)
+    for p in full.local.parameters().values():
+        p.data[1] = p.data[0]                 # slice 0 is the head, 1 the tail
     full.freq_gate.w.data[:] = 0.0
     full.freq_gate.b.data[:] = -800.0
     prior = fg.FrequencyPrior([5, 3, 2])
@@ -273,10 +294,10 @@ def test_fusion_matches_numpy_gate_on_task_stacked_inputs():
     # frequencies t, each broadcast over every row
     rng = nc.Rng(62)
     gates = [dpeg.FusionGate(4, 3, rng.spawn(i)) for i in range(2)]
-    w, b = dpeg.stack_tasks([(g.w, g.b) for g in gates])
+    stacked = dpeg.stack_tasks([dpeg.FusionGate(4, 3, rng.spawn(i)) for i in range(2)])
     h, t = rng.normals((2, 3, 5, 4)), rng.normals((2, 3, 5, 4))
     f = rng.uniforms(6).reshape(2, 1, 1, 3)
-    got = dpeg.gated_mix(nc.Tensor(h), nc.Tensor(t), f, w, b).data
+    got = dpeg.gated_mix(nc.Tensor(h), nc.Tensor(t), f, stacked.w, stacked.b).data
     for i, gate in enumerate(gates):
         rows = np.concatenate([h[i], t[i], np.broadcast_to(f[i], (3, 5, 3))], axis=-1)
         g = 1.0 / (1.0 + np.exp(-(rows @ gate.w.data + gate.b.data)))
@@ -333,13 +354,13 @@ def test_global_single_frame_residual_path():
     _zero_mixing(enc)
     z = nc.Rng(19).normals((1, 6))
     cfg = _window(w=4, s=2)
-    out = _global(nc.Tensor(z), [7], dpeg.stacked_encoder([enc]), cfg).data
+    out = _global(nc.Tensor(z), [7], enc, cfg).data
     expect = _np_layer_norm(_np_layer_norm(z + dpeg.pe_at([7], 6)))
     assert np.allclose(out, expect, atol=1e-12)
 
 
 def test_global_encoding_depends_on_absolute_frame_index():
-    enc = dpeg.stacked_encoder([_encoder(6, 2, nc.Rng(20))])
+    enc = _encoder(6, 2, nc.Rng(20))
     z = nc.Tensor(nc.Rng(21).normals((3, 6)))
     cfg = _window(w=3, s=1)
     at_zero = _global(z, [0, 1, 2], enc, cfg).data
@@ -351,12 +372,12 @@ def test_global_four_frames_matches_attention_oracle():
     enc = _encoder(8, 2, nc.Rng(22))
     z = nc.Rng(23).normals((4, 8))
     cfg = _window(w=4, s=4)  # one window covering everything
-    out = _global(nc.Tensor(z), [0, 1, 2, 3], dpeg.stacked_encoder([enc]), cfg).data
+    out = _global(nc.Tensor(z), [0, 1, 2, 3], enc, cfg).data
     assert np.allclose(out, _encoder_oracle(z + dpeg.pe_at([0, 1, 2, 3], 8), enc), atol=1e-12)
 
 
 def test_global_rejects_bad_sequences():
-    enc = dpeg.stacked_encoder([_encoder(4, 2, nc.Rng(24))])
+    enc = _encoder(4, 2, nc.Rng(24))
     cfg = _window(w=2, s=1)
     with pytest.raises(ContractError):
         dpeg.encode_global(nc.Tensor(np.zeros((0, 4))), [], enc, cfg)
@@ -375,7 +396,7 @@ def test_aggregate_identity_cases():
     enc = _encoder(4, 2, nc.Rng(25))
     z = nc.Tensor(nc.Rng(26).normals((3, 4)))
     one = _window(w=1, s=1)
-    got = _global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), one).data
+    got = _global(z, [0, 1, 2], enc, one).data
     # w=1: each position appears in exactly one window, so aggregation is identity
     pe = dpeg.pe_at([0, 1, 2], 4)
     per_token = np.concatenate([_encode(enc, z.data[i:i + 1] + pe[i:i + 1]).data
@@ -383,7 +404,7 @@ def test_aggregate_identity_cases():
     assert np.allclose(got, per_token, atol=1e-12)
 
     whole = _window(w=3, s=3)
-    windows = dpeg.encode_global(z, [0, 1, 2], dpeg.stacked_encoder([enc]), whole)
+    windows = dpeg.encode_global(z, [0, 1, 2], enc, whole)
     assert windows.shape == (1, 3, 4)
     got2 = dpeg.aggregate_windows(windows, 3, whole).data
     assert np.array_equal(got2, windows.data[0])
@@ -462,11 +483,13 @@ def test_dpeg_forward_row_alignment_under_permutation():
 
 
 def test_dpeg_single_branch_has_no_tail_parameters():
+    # the local stack holds a head and a tail slice per task, or heads only
     full = _dpeg(4, 2, 3, nc.Rng(35), dual_branch=True)
     bare = _dpeg(4, 2, 3, nc.Rng(35), dual_branch=False)
-    assert any(k.startswith("tail_enc") for k in full.parameters())
-    assert not any(k.startswith(("tail_enc", "fusion", "freq_gate"))
-                   for k in bare.parameters())
+    assert all(p.shape[0] == 2 for p in full.local.parameters().values())
+    assert all(p.shape[0] == 1 for p in bare.local.parameters().values())
+    assert any(k.startswith("fusion") for k in full.parameters())
+    assert not any(k.startswith(("fusion", "freq_gate")) for k in bare.parameters())
 
 
 def test_dpeg_frequency_off_ignores_prior():
@@ -537,14 +560,15 @@ def test_dpeg_batched_path_matches_per_group_composition(shape, w, s, mode):
     got = _run(model, nc.Tensor(feats), frames, pairs, prior).data
 
     x = nc.Tensor(feats)
+    head, tail = _task(model.local, 0), _task(model.local, 1)
     z_rows = np.zeros_like(got)
     for t in np.unique(frames):
         idx = np.flatnonzero(frames == t)
-        h = _encode(model.head_enc, x[idx])
-        tl = _tail_branch(x[idx], prior, model.freq_gate, model.tail_enc)
-        z_rows[idx] = _fuse(h, tl, prior.f, model.fusion).data
+        h = _encode(head, x[idx])
+        tl = _tail_branch(x[idx], prior, _task(model.freq_gate, 0), tail)
+        z_rows[idx] = _fuse(h, tl, prior.f, _task(model.fusion, 0)).data
     want = np.zeros_like(got)
-    glob = dpeg.stacked_encoder([model.global_enc])
+    glob = _task(model.global_enc, 0)
     for p in np.unique(pairs):
         idx = np.flatnonzero(pairs == p)
         idx = idx[np.argsort(frames[idx])]
@@ -570,7 +594,7 @@ def test_batched_windows_match_per_window_oracle(w, s, mode, length):
             _windows_oracle(z, f, e, c), len(f), c)):
         z = nc.Tensor(z0, requires_grad=True)
         enc.zero_grad()
-        out = run(z, frames, dpeg.stacked_encoder([enc]), cfg)
+        out = run(z, frames, enc, cfg)
         (out * readout).sum().backward()
         grads = {k: p.grad.copy() for k, p in enc.parameters().items()}
         results.append((out.data, z.grad, grads))
@@ -604,7 +628,7 @@ def test_clip_keys_keep_clips_apart():
     keys = np.repeat([0, 1], len(frames))
     layout = dpeg.clip_layout(np.tile(frames, 2), np.tile(pairs, 2), keys)
     assert len(layout.local) == 1 and len(layout.tracks) == 1
-    packed = dpeg.encode_stacked([model], nc.Tensor(feats[None]), layout, [prior]).data[0]
+    packed = dpeg.encode_stacked(model, nc.Tensor(feats[None]), layout, [prior]).data[0]
     assert np.array_equal(packed, np.concatenate(alone))
 
 

@@ -51,6 +51,13 @@ def _split(model, clips):
     return Split.of(sum(clips, []), model.cfg.raw_dim, model.cfg.class_counts())
 
 
+def _owned(p: nc.Tensor, tasks: int, i: int) -> tuple:
+    """The index of the part of trunk tensor ``p`` that task slice ``i`` of
+    a ``tasks``-task trunk owns: slice i, and slice tasks + i too in the
+    local head/tail stack."""
+    return (np.arange(i, p.shape[0], tasks),)
+
+
 def _small_cfg(**over):
     base = dict(raw_dim=6, d=8, h=2, attn_classes=2, spat_classes=4,
                 cont_classes=4, window_w=2, window_s=1)
@@ -340,29 +347,82 @@ class TestConfig:
 
 class TestStructure:
     def test_decoupled_parameters_partition_by_task(self):
+        # one trunk whose every tensor has a task axis, slice t task t's (the
+        # local stack holds the three heads, then the three tails), and one
+        # head per task
         model = M.FremureModel(_small_cfg(), nc.Rng(0))
-        paths = set(model.parameters())
-        owners = {t: [p for p in paths
-                      if p.startswith((f"trunks.{t}.", f"heads.{t}."))]
-                  for t in M.TYPES}
-        assert sorted(sum(owners.values(), [])) == sorted(paths)
-        for t in M.TYPES:
-            assert f"trunks.{t}.proj.w" in paths  # per-task input projection
-            assert owners[t]
+        params = model.parameters()
+        trunk = [k for k in params if k.startswith("trunk.")]
+        heads = {t: [k for k in params if k.startswith(f"heads.{t}.")] for t in M.TYPES}
+        assert sorted(trunk + sum(heads.values(), [])) == sorted(params)
+        assert all(heads.values())
+        assert params["trunk.proj.w"].shape == (3, 6, 8)  # per-task input projection
+        for key in trunk:
+            assert params[key].shape[0] == (6 if ".local." in key else 3), key
+        # gate weights padded to the widest class count (4)
+        assert params["trunk.dpeg.fusion.w"].shape == (3, 2 * 8 + 4, 8)
+        assert params["trunk.dpeg.freq_gate.w"].shape == (3, 4, 8)
+        owned = np.zeros(6, dtype=int)
+        for i in range(3):
+            owned[_owned(params["trunk.dpeg.local.q.w"], 3, i)] += 1
+        assert owned.tolist() == [1] * 6
 
     def test_shared_mode_has_single_trunk(self):
         cfg = _small_cfg(flags=M.AblationFlags(decouple=False))
         model = M.FremureModel(cfg, nc.Rng(0))
-        trunk = [p for p in model.parameters() if p.startswith("trunks.")]
-        assert trunk and all(p.startswith("trunks.shared.") for p in trunk)
-        assert model.trunks["shared"].dpeg.n_classes == 2 + 4 + 4
+        trunk = {k: p for k, p in model.parameters().items() if k.startswith("trunk.")}
+        assert trunk and all(p.shape[0] == (2 if ".local." in k else 1)
+                             for k, p in trunk.items())
+        assert model.trunk.dpeg.class_counts == (2 + 4 + 4,)
+
+    def test_trunk_slices_start_as_each_trunk_alone_draws(self):
+        # slice t is what a one-task trunk of task t's class count draws from
+        # the same Rng key, zero-padded; a shared trunk is the one-task case
+        for decouple in (True, False):
+            cfg = _small_cfg(flags=M.AblationFlags(decouple=decouple))
+            model = M.FremureModel(cfg, nc.Rng(5))
+            counts = model.trunk.dpeg.class_counts
+            big = model.trunk.parameters()
+            for i, n in enumerate(counts):
+                alone = M._Trunk(cfg, [n], [nc.Rng(5).spawn(i)]).parameters()
+                for key, p in alone.items():
+                    got = big[key].data[_owned(big[key], len(counts), i)]
+                    region = (slice(None),) + tuple(map(slice, p.shape[1:]))
+                    assert np.array_equal(got[region], p.data), key
+                    got[region] = 0.0
+                    assert not got.any(), key
+
+    def test_gate_padding_stays_exactly_zero(self):
+        # attention has 2 classes, the widest task 4: rows 2 and 3 of its
+        # fusion- and frequency-gate weights meet only zero inputs, so their
+        # gradient is exactly zero on every step and Adam leaves them at zero
+        model = M.FremureModel(_small_cfg(), nc.Rng(2))
+        params = model.parameters()
+        rows = {"trunk.dpeg.fusion.w": slice(2 * 8 + 2, None),
+                "trunk.dpeg.freq_gate.w": slice(2, None)}
+        t = M.TrainConfig(lr=1e-2)
+        opt = nc.Adam(params, t.lr, t.beta1, t.beta2, t.eps)
+        before = {key: params[key].data.copy() for key in rows}
+        for step in range(20):
+            opt.zero_grad()
+            total, _ = model.total_loss(_clip(nc.Rng(60 + step % 4), clip_id=step % 4),
+                                        nc.Rng(200 + step), training=True)
+            total.backward()
+            for key, pad in rows.items():
+                assert np.all(params[key].grad[0, pad] == 0.0), (step, key)
+                assert params[key].grad[0, :pad.start].any(), (step, key)
+            opt.step()
+        for key, pad in rows.items():
+            assert np.all(params[key].data[0, pad] == 0.0), key
+            assert not np.array_equal(params[key].data, before[key]), key
 
     def test_ablation_flags_shrink_parameter_tree(self):
-        full = set(M.FremureModel(_small_cfg(), nc.Rng(0)).parameters())
+        full = M.FremureModel(_small_cfg(), nc.Rng(0)).parameters()
         cfg = _small_cfg(flags=M.AblationFlags(dual_branch=False))
-        single = set(M.FremureModel(cfg, nc.Rng(0)).parameters())
-        assert not [p for p in single if "tail_enc" in p or "fusion" in p]
-        assert [p for p in full if "tail_enc" in p]
+        single = M.FremureModel(cfg, nc.Rng(0)).parameters()
+        assert not [p for p in single if "fusion" in p]
+        assert single["trunk.dpeg.local.q.w"].shape[0] == 3     # heads only
+        assert full["trunk.dpeg.local.q.w"].shape[0] == 6       # heads and tails
         cfg = _small_cfg(flags=M.AblationFlags(frequency=False))
         nofreq = set(M.FremureModel(cfg, nc.Rng(0)).parameters())
         assert not [p for p in nofreq if "freq_gate" in p]
@@ -405,8 +465,10 @@ class TestIsolation:
         clip = _clip(nc.Rng(1))
         before = model.forward(clip, nc.Rng(5), training=True)
         for key, p in model.parameters().items():
-            if key.startswith(("trunks.attn.", "heads.attn.")):
+            if key.startswith("heads.attn."):
                 p.data += 0.1
+            elif key.startswith("trunk."):
+                p.data[_owned(p, 3, 0)] += 0.1
         after = model.forward(clip, nc.Rng(5), training=True)
         assert not np.array_equal(before["probs"]["attn"].data,
                                   after["probs"]["attn"].data)
@@ -418,7 +480,7 @@ class TestIsolation:
         model = M.FremureModel(cfg, nc.Rng(0))
         clip = _clip(nc.Rng(1))
         before = model.forward(clip, nc.Rng(5))
-        model.parameters()["trunks.shared.proj.w"].data += 0.1
+        model.parameters()["trunk.proj.w"].data += 0.1
         after = model.forward(clip, nc.Rng(5))
         for t in M.TYPES:
             assert not np.array_equal(before["probs"][t].data,
@@ -426,15 +488,30 @@ class TestIsolation:
 
 
 class TestBatchedTrunks:
-    """All trunks run as one batched pass; each slice must equal its trunk
-    run alone through its own projection and generator. The batched pass only
-    reassociates float64 sums of at most 2d terms, hence 1e-12 relative."""
+    """The trunk runs every task as one batched pass; each slice must equal
+    a one-task trunk holding that slice's unpadded weights, run alone. The
+    batched pass only reassociates float64 sums of at most 2d terms, hence
+    1e-12 relative. Padding rows get exactly zero gradient."""
 
     RAGGED = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (5, 2), (2, 2)]
 
     @staticmethod
     def _rel(got, want):
         return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+    @staticmethod
+    def _alone(model, i):
+        """A one-task trunk holding task slice i of ``model``'s trunk, its
+        padding dropped, and where each of its tensors sits in the stack."""
+        counts = model.trunk.dpeg.class_counts
+        alone = M._Trunk(model.cfg, [counts[i]], [nc.Rng(99)])
+        big = model.trunk.parameters()
+        where = {}
+        for key, p in alone.parameters().items():
+            where[key] = _owned(big[key], len(counts), i) + \
+                tuple(map(slice, p.shape[1:]))
+            p.data[...] = big[key].data[where[key]]
+        return alone, where
 
     @pytest.mark.parametrize("shape", ["rectangular", "ragged"])
     @pytest.mark.parametrize("flags", [{}, {"frequency": False}, {"dual_branch": False},
@@ -449,32 +526,32 @@ class TestBatchedTrunks:
         feats = rng.normals((len(rows), 6))
         frames = np.array([f for f, _ in rows])
         pair_ids = np.array([p for _, p in rows])
-        trunks = list(model.trunks.values())
+        tasks = len(model.trunk.dpeg.class_counts)
         priors = ([model.priors[t] for t in M.TYPES] if model.cfg.flags.decouple
                   else [model.global_prior])
-        readouts = [nc.Tensor(rng.normals((len(rows), 8))) for _ in trunks]
+        readouts = [nc.Tensor(rng.normals((len(rows), 8))) for _ in range(tasks)]
 
         model.zero_grad()
         layout = dpeg.clip_layout(frames, pair_ids, np.zeros_like(frames))
         batched = model._embed(feats, layout)
-        together = [batched[t] for t in M.TYPES][:len(trunks)]
+        together = [batched[t] for t in M.TYPES][:tasks]
         sum(((z * r).sum() for z, r in zip(together, readouts)), nc.Tensor(0.0)).backward()
-        grads = {k: p.grad.copy() for k, p in model.parameters().items() if p.grad is not None}
+        grads = {k[len("trunk."):]: p.grad for k, p in model.parameters().items()
+                 if p.grad is not None}
+        assert set(grads) == set(model.trunk.parameters())
 
-        model.zero_grad()
-        for trunk, prior, z, r in zip(trunks, priors, together, readouts):
-            x = trunk.proj(nc.Tensor(feats))
-            alone = nc.reshape(dpeg.encode_stacked(
-                [trunk.dpeg], nc.reshape(x, (1,) + x.shape), layout, [prior]), x.shape)
-            assert self._rel(z.data, alone.data) <= 1e-12
-            (alone * r).sum().backward()
-        alone_grads = {k: p.grad for k, p in model.parameters().items() if p.grad is not None}
-
-        assert set(grads) == set(alone_grads)
-        assert len(alone_grads) == len([k for k in model.parameters()
-                                        if k.startswith("trunks.")])
-        for key, g in alone_grads.items():
-            assert self._rel(grads[key], g) <= 1e-12, key
+        covered = {key: np.zeros(g.shape, dtype=bool) for key, g in grads.items()}
+        for i, (prior, z, r) in enumerate(zip(priors, together, readouts)):
+            alone, where = self._alone(model, i)
+            x = nc.affine(nc.Tensor(feats[None]), alone.proj.w, alone.proj.b)
+            got = nc.reshape(dpeg.encode_stacked(alone.dpeg, x, layout, [prior]), z.shape)
+            assert self._rel(z.data, got.data) <= 1e-12
+            (got * r).sum().backward()
+            for key, p in alone.parameters().items():
+                assert self._rel(grads[key][where[key]], p.grad) <= 1e-12, (i, key)
+                covered[key][where[key]] = True
+        for key, g in grads.items():
+            assert not g[~covered[key]].any(), key      # padding rows
 
 
 class TestConflict:
@@ -489,7 +566,7 @@ class TestConflict:
         report = M.grad_conflict(model, _clip(nc.Rng(1)), nc.Rng(2))
         assert set(report.cosines) == {"attn_spat", "attn_cont", "spat_cont"}
         assert all(-1.0 <= v <= 1.0 for v in report.cosines.values())
-        trunk = model.trunks["shared"].parameters().values()
+        trunk = model.trunk.parameters().values()
         assert report.shared_params == sum(p.data.size for p in trunk)
         assert report.applicable is True
 
@@ -634,12 +711,13 @@ class TestTraining:
         assert built == [len(train), len(test)]
 
 
-# sha256 of every parameter's bytes after 20 Adam steps at a one-window
-# config, taken with the tape that visited constants and stored a gradient on
-# every node (numpy 2.4, x86-64; another BLAS may round differently)
+# sha256 of every parameter's bytes, in `parameters()` order (the stacked
+# trunk's layout), after 20 Adam steps at a one-window config, taken with the
+# tape that visited constants and stored a gradient on every node (numpy 2.4,
+# x86-64; another BLAS may round differently)
 TWENTY_STEPS = {
-    "gmm_plus": "617f2e79bdc6192ff9f7c2aa8c8b4ad40ba5030b603e8a60ca7ffbe03d95cf89",
-    "bayesian": "bf343c44a67778c81d8b6d491745eea8a2bf9118e959bceca0a32fc526090f94",
+    "gmm_plus": "191d870e4ffb8b2d7a3ec86a323ab1fb8c073cdcd67e2c0f1149b641ee36eacd",
+    "bayesian": "5d2ab6fba435e3cb0583f8f137c46ee7f924901044a29a507fc77d89270fb5ef",
 }
 
 
@@ -887,14 +965,17 @@ class TestFlatAdam:
         opt = nc.Adam(params, lr, b1, b2, eps)
         rng = nc.Rng(47)
         for t in range(1, 7):
+            # gradients written into the arena views; every fifth tensor's is
+            # left at zero, as for a parameter the backward pass never reaches
+            opt.zero_grad()
             for i, p in enumerate(params.values()):
-                p.grad = (None if (i + t) % 5 == 0
-                          else rng.normals(p.data.shape) * 10.0 ** (i % 4 - 2))
+                if (i + t) % 5:
+                    p.grad += rng.normals(p.data.shape) * 10.0 ** (i % 4 - 2)
             opt.step()
             # the per-tensor update, formula for formula
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for key, p in params.items():
-                g = p.grad if p.grad is not None else np.zeros_like(ref[key])
+                g = p.grad
                 m[key] *= b1
                 m[key] += (1.0 - b1) * g
                 v[key] *= b2

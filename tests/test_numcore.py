@@ -452,10 +452,18 @@ def test_layer_norm_residual_routes_same_gradient_to_both_parents():
 ADAM = (1e-3, 0.9, 0.999, 1e-8)
 
 
+def _step_with(opt, grads: dict):
+    """One optimizer step with the given gradients written into each
+    parameter's arena view, the way ``Tensor.backward`` leaves them."""
+    opt.zero_grad()
+    for p, g in grads.items():
+        p.grad += g
+    opt.step()
+
+
 def test_adam_first_step_unit_gradient():
     p = nc.Tensor(np.array([0.0]), requires_grad=True)
-    p.grad = np.array([1.0])
-    nc.Adam({"p": p}, *ADAM).step()
+    _step_with(nc.Adam({"p": p}, *ADAM), {p: np.array([1.0])})
     # bias correction makes the first step lr * 1/(1 + eps)
     assert p.data[0] == pytest.approx(-0.001 / (1.0 + 1e-8), abs=1e-15)
     assert p.data[0] == pytest.approx(-0.000999999995, abs=1e-10)
@@ -463,9 +471,8 @@ def test_adam_first_step_unit_gradient():
 
 def test_adam_zero_gradient_is_identity():
     p = nc.Tensor(np.array([1.5, -2.0]), requires_grad=True)
-    p.grad = np.zeros(2)
     opt = nc.Adam({"p": p}, *ADAM)
-    opt.step()
+    _step_with(opt, {p: np.zeros(2)})
     assert np.array_equal(p.data, [1.5, -2.0])
 
 
@@ -482,34 +489,70 @@ def test_adam_two_steps_match_scripted_trace():
     p = nc.Tensor(np.array([0.7]), requires_grad=True)
     opt = nc.Adam({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(2):
-        p.grad = np.array([g])
-        opt.step()
+        _step_with(opt, {p: np.array([g])})
     assert p.data[0] == pytest.approx(theta, abs=1e-15)
     assert opt.t == 2
 
 
 def test_adam_missing_grad_treated_as_zero():
+    # a parameter the backward pass never reaches keeps its zeroed view
     p = nc.Tensor(np.array([1.0]), requires_grad=True)
     q = nc.Tensor(np.array([2.0]), requires_grad=True)
-    q.grad = np.array([1.0])
     opt = nc.Adam({"p": p, "q": q}, *ADAM)
+    opt.zero_grad()
+    (q * 3.0).sum().backward()
     opt.step()
-    assert np.array_equal(p.data, [1.0])
+    assert np.array_equal(p.data, [1.0]) and np.array_equal(p.grad, [0.0])
     assert q.data[0] < 2.0
 
 
 def test_adam_shape_mismatch_rejected():
     p = nc.Tensor(np.zeros(3), requires_grad=True)
+    opt = nc.Adam({"p": p}, *ADAM)
+    opt.zero_grad()
     p.grad = np.zeros(2)
-    with pytest.raises(ContractError):
-        nc.Adam({"p": p}, *ADAM).step()
+    with pytest.raises(ContractError, match="gradient of 'p' is not its view"):
+        opt.step()
+
+
+def test_adam_gradient_outside_the_arena_rejected():
+    # a gradient array of the right shape that is not the arena view: before
+    # the first zero_grad, or assigned by hand afterwards
+    p = nc.Tensor(np.zeros(3), requires_grad=True)
+    opt = nc.Adam({"p": p}, *ADAM)
+    (p * 2.0).sum().backward()            # no zero_grad: backward stores a copy
+    with pytest.raises(ContractError, match="gradient of 'p' is not its view"):
+        opt.step()
+    opt.zero_grad()
+    p.grad = np.ones(3)
+    with pytest.raises(ContractError, match="gradient of 'p' is not its view"):
+        opt.step()
+    assert np.array_equal(p.data, np.zeros(3)) and opt.t == 0
+
+
+def test_adam_backward_accumulates_in_the_arena():
+    # zero_grad points every .grad at its view of the arena; backward adds
+    # into it in place, across calls, and step reads it there
+    p = nc.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = nc.Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
+    opt = nc.Adam({"p": p, "q": q}, *ADAM)
+    opt._grad[:] = 7.0
+    opt.zero_grad()
+    assert np.array_equal(opt._grad, np.zeros(4))
+    views = (p.grad, q.grad)
+    (p * np.array([1.0, -1.0])).sum().backward()
+    (p * 2.0 + nc.reshape(q, (2,))).sum().backward()
+    assert p.grad is views[0] and q.grad is views[1]
+    assert np.array_equal(opt._grad, [3.0, 1.0, 1.0, 1.0])
+    opt.step()
+    assert opt.t == 1
 
 
 def test_adam_rebound_parameter_rejected():
     p = nc.Tensor(np.zeros(3), requires_grad=True)
     opt = nc.Adam({"p": p}, *ADAM)
+    opt.zero_grad()
     p.data = np.ones(3)
-    p.grad = np.ones(3)
     with pytest.raises(ContractError, match="'p' was rebound"):
         opt.step()
 

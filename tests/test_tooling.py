@@ -3,7 +3,8 @@ names, and the README's hold on the command line. ``bench/tracing.py`` wraps
 functions by name, so a renamed one would make ``bench/run.py --trace 1``
 fail or read 0; ``bench/checks.py`` reads the probabilities that
 ``FremureModel.forward`` returns and requires them in [0, 1], with attention
-rows summing to 1. Every function, class, method and module-level constant in
+rows summing to 1. Trunk weights are stacked once, when a model is built,
+so neither a training step nor a scoring pack stacks any. Every function, class, method and module-level constant in
 ``src/fremure`` must be used by the program or the benchmark, not only by the
 tests. Every option the README's usage block shows for a command is one the
 parser defines, and every required one is shown."""
@@ -14,6 +15,7 @@ import importlib.util
 import io
 import re
 import tokenize
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,40 @@ def test_forward_probabilities_meet_the_benchmark_checks(head, scale):
     entropy = out["reports"]["attn"].epistemic_rows
     assert np.all(np.isfinite(entropy))
     assert np.all((entropy >= -PROB) & (entropy <= np.log(3) + PROB))
+
+
+@pytest.mark.parametrize("decouple", [True, False])
+def test_no_weight_is_stacked_per_step_or_per_pack(monkeypatch, decouple):
+    # trunk weights carry their task axis from the moment the model is built:
+    # a training step (loss, backward, Adam) and a no-grad scoring pack call
+    # neither nc.stack nor stack_tasks, in any namespace that binds them
+    calls = {"stack": 0, "stack_tasks": 0}
+
+    def counted(name, orig):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nc, "stack", counted("stack", nc.stack))
+    for namespace in (fremure.dpeg, M):
+        monkeypatch.setattr(namespace, "stack_tasks",
+                            counted("stack_tasks", fremure.dpeg.stack_tasks))
+    cfg = M.ModelConfig(raw_dim=6, d=8, h=2, attn_classes=3, spat_classes=4,
+                        cont_classes=5, window_w=2, window_s=1,
+                        flags=M.AblationFlags(decouple=decouple))
+    model = M.FremureModel(cfg, nc.Rng(1))
+    assert calls["stack"] > 0 and calls["stack_tasks"] > 0     # building stacks
+    t = M.TrainConfig()
+    opt = nc.Adam(model.parameters(), t.lr, t.beta1, t.beta2, t.eps)
+    split = M.clip_split(_clip(2) + [replace(r, clip=1) for r in _clip(3)], cfg)
+    calls.update(stack=0, stack_tasks=0)
+    opt.zero_grad()
+    total, _ = model.total_loss(split.view(0, 1), nc.Rng(4), training=True)
+    total.backward()
+    opt.step()
+    M.predict_clips(model, split, nc.Rng(5))
+    assert calls == {"stack": 0, "stack_tasks": 0}
 
 
 def _definitions(paths) -> dict:
