@@ -38,8 +38,8 @@ Records on disk are JSONL, one object a line, under the contract that
 ``read_jsonl`` documents and checks one field at a time over the whole
 file. In the program a split is a ``Split``: the records' fields as row
 columns, each clip's rows contiguous. ``Split.of`` builds one, and is the
-one place where records are checked against a model's feature width, class
-counts and attention range.
+one place where records, or a ready Split, are checked against a model's
+feature width, class counts and attention range.
 
 Evaluation ranks (pair, predicate) entries per frame by score with
 deterministic tie-breaking, once for every K, and reports R@K, per-class
@@ -58,7 +58,7 @@ from itertools import chain
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError
+from .errors import ContractError, Validated
 from .freqgate import FrequencyPrior
 
 
@@ -67,7 +67,7 @@ from .freqgate import FrequencyPrior
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SyntheticConfig:
+class SyntheticConfig(Validated):
     attn_classes: int = 10
     spat_classes: int = 6
     cont_classes: int = 16
@@ -99,11 +99,6 @@ class SyntheticConfig:
         if not 0.0 <= self.extra_label_rate <= 1.0:
             out.append("extra_label_rate must be in [0, 1]")
         return out
-
-    def validate(self):
-        problems = self.problems()
-        if problems:
-            raise ContractError("; ".join(problems))
 
     def class_counts(self) -> dict:
         return {"attn": self.attn_classes, "spat": self.spat_classes,
@@ -268,7 +263,24 @@ class Split:
         other than ``counts`` gives, an attention label outside [0,
         counts["attn"]), a clip whose records are not contiguous or a second
         record of one (clip, frame, subj, obj) raises ContractError naming
-        the record and the field; so do no records."""
+        the record and the field; so do no records.
+
+        ``records`` may be a ready Split, whose records were checked when it
+        was built: it is returned after its column widths and its largest
+        attention label are checked against this model, and a mismatch
+        raises ContractError naming the column."""
+        widths = {"feat": raw_dim, "spat": counts["spat"], "cont": counts["cont"]}
+        if isinstance(records, cls):
+            for name, width in widths.items():
+                got = getattr(records, name).shape[1]
+                if got != width:
+                    raise ContractError(f"split column '{name}' has {got} values "
+                                        f"per row, expected {width}")
+            top = records.attn.max(initial=0)
+            if top >= counts["attn"]:
+                raise ContractError(f"split column 'attn' holds {top}, outside "
+                                    f"[0, {counts['attn']})")
+            return records
         n = len(records)
         if not n:
             raise ContractError("no records")
@@ -281,7 +293,6 @@ class Split:
                 raise ContractError(f"record (clip {r.clip}, frame {r.frame}, subj "
                                     f"{r.subj}, obj {r.obj}): {problem(i)}")
 
-        widths = {"feat": raw_dim, "spat": counts["spat"], "cont": counts["cont"]}
         for name, width in widths.items():
             got = np.fromiter((len(getattr(r, name)) for r in records), np.int64, n)
             check(got != width, lambda i: f"{name} has {got[i]} values, expected {width}")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ContractError
 from .freqgate import (INIT_SCALE, FrequencyGate, FrequencyPrior, frequency_correct,
                        gate_values)
 
@@ -195,24 +194,17 @@ def encode_global(z: nc.Tensor, frames, encoder: BranchEncoder,
     """Add absolute-position encoding, then encode every sliding window in
     one pass.
 
-    z: (..., L, d); leading axes are independent sequences over the same
-    frames, led by the task axis when ``encoder`` is a stack. The windows,
+    z: (..., L, d), L >= 1; leading axes are independent sequences over the
+    same ``frames``, the L strictly increasing frame indices of a track, led
+    by the task axis when ``encoder`` is a stack. The windows,
     each m = min(w, L) positions long, are gathered along a new window axis
     and ``encoder`` runs once over the (..., windows, m, d) result, which is
     returned; attention stays inside a window. Absolute frame indices feed
     the encoding, so shifting a whole clip in time changes the output; that
     is deliberate, not an invariance.
     """
-    length = z.shape[-2]
-    if length == 0:
-        raise ContractError("cannot encode an empty frame sequence")
-    frames = np.asarray(frames, dtype=np.int64)
-    if frames.size != length:
-        raise ContractError("one frame index required per sequence row")
-    if (frames[1:] <= frames[:-1]).any():
-        raise ContractError("frame indices must be strictly increasing")
     x = z + nc.Tensor(pe_at(frames, z.shape[-1]))
-    index = _window_plan(length, cfg.w, cfg.s, cfg.mode)[0]
+    index = _window_plan(z.shape[-2], cfg.w, cfg.s, cfg.mode)[0]
     return encoder_layer(x[index], encoder.weights(), encoder.h)
 
 
@@ -226,10 +218,6 @@ def aggregate_windows(values: nc.Tensor, length: int, cfg: WindowConfig) -> nc.T
     of its summed weights.
     """
     _, rows, scatter, inverse = _window_plan(length, cfg.w, cfg.s, cfg.mode)
-    if values.shape[-3:-1] != rows.shape:
-        raise ContractError(f"window values of shape {values.shape[-3:-1]} do not "
-                            f"match the {rows.shape} windows of a length-{length} "
-                            "sequence")
     flat = nc.reshape(values, values.shape[:-3] + (rows.size, values.shape[-1]))
     return nc.matmul(nc.Tensor(scatter), flat) * nc.Tensor(inverse)
 
@@ -279,24 +267,21 @@ def _inverse(blocks) -> np.ndarray | None:
     return None if (order[1:] > order[:-1]).all() else np.argsort(order)
 
 
-def clip_layout(frames, pair_ids, clips) -> ClipLayout:
+def clip_layout(frames, subj, obj, clips) -> ClipLayout:
     """Group rows by frame (ascending row index inside a frame) and by pair
-    track (ascending frame inside a track).
+    track (ascending frame inside a track), for rows of which no two share a
+    (clip, frame, subj, obj), as `data_metrics.Split.of` ensures.
 
     ``clips`` is a per-row clip key. Rows of different clips never share a
     frame or a track, so attention and windows stay inside a clip; frames
     with as many rows, and tracks over the same frame numbers, still stack
-    into one block across clips.
+    into one block across clips. Tracks come in (clip, subj, obj) order.
     """
-    frames = np.asarray(frames, dtype=np.int64)
-    pair_ids = np.asarray(pair_ids, dtype=np.int64)
-    clips = np.asarray(clips, dtype=np.int64)
+    frames, subj, obj, clips = (np.asarray(a, dtype=np.int64)
+                                for a in (frames, subj, obj, clips))
     by_frame = _split_runs(np.lexsort((frames, clips)), clips, frames)
-    by_pair = _split_runs(np.lexsort((frames, pair_ids, clips)), clips, pair_ids)
+    by_pair = _split_runs(np.lexsort((frames, obj, subj, clips)), clips, subj, obj)
     track_frames = [tuple(frames[idx].tolist()) for idx in by_pair]
-    for fr in track_frames:
-        if len(set(fr)) != len(fr):
-            raise ContractError("duplicate (frame, pair) rows in clip")
     local = list(_stack_by([idx.size for idx in by_frame], by_frame).values())
     tracks = [(block, np.asarray(fr))
               for fr, block in _stack_by(track_frames, by_pair).items()]
@@ -366,10 +351,6 @@ def encode_stacked(dp: Dpeg, feats: nc.Tensor, layout: ClipLayout, priors) -> nc
     counts = dp.class_counts
     if not dp.frequency:
         priors = [FrequencyPrior(np.ones(n)) for n in counts]
-    for n, prior in zip(counts, priors):
-        if prior.n_classes != n:
-            raise ContractError(f"prior has {prior.n_classes} classes, "
-                                f"model expects {n}")
     inputs = feats
     if dp.dual_branch:
         width = max(counts)

@@ -1,4 +1,5 @@
-"""Exception types shared across the library and the CLI exit-code mapping."""
+"""Exception types shared across the library and the CLI exit-code mapping,
+and the one way a settings object raises its problems."""
 
 
 class ContractError(ValueError):
@@ -12,6 +13,16 @@ class ConfigError(ContractError):
     def __init__(self, problems):
         super().__init__("; ".join(problems))
         self.problems = list(problems)
+
+
+class Validated:
+    """A settings dataclass whose ``problems()`` lists every rule its values
+    break; ``validate()`` raises them all as one ContractError."""
+
+    def validate(self):
+        problems = self.problems()
+        if problems:
+            raise ContractError("; ".join(problems))
 
 
 class NumericalError(RuntimeError):

@@ -21,23 +21,20 @@ INIT_SCALE = 1e-2
 
 class FrequencyPrior:
     """Normalized class frequencies f_k = n_k / sum(n), smoothed by EPS in
-    the gate input."""
+    the gate input. Counts that are not a non-empty 1-d array of nonnegative
+    values with a positive one raise ContractError naming ``name``."""
 
-    def __init__(self, counts):
+    def __init__(self, counts, name: str = "counts"):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
-            raise ContractError("counts must be a non-empty 1-d array")
+            raise ContractError(f"{name} must be a non-empty 1-d array")
         if np.any(counts < 0):
-            raise ContractError("counts must be nonnegative")
+            raise ContractError(f"{name} must hold no negative count")
         total = counts.sum()
         if total <= 0:
-            raise ContractError("at least one class count must be positive")
+            raise ContractError(f"{name} must hold at least one positive count")
         self.counts = counts
         self.f = counts / total
-
-    @property
-    def n_classes(self) -> int:
-        return self.f.size
 
     def log_inverse(self) -> np.ndarray:
         """log(1/(f_k + eps)): the gate's pre-activation input, finite for f_k = 0."""
@@ -68,13 +65,7 @@ def gate_values(signal: np.ndarray, w, b) -> nc.Tensor:
     return nc.sigmoid(nc.affine(nc.Tensor(signal), w, b))
 
 
-def frequency_correct(x, g) -> nc.Tensor:
-    """Blend raw and normalized features: x' = g * layer_norm(x) + (1 - g) * x."""
-    x = x if isinstance(x, nc.Tensor) else nc.Tensor(x)
-    g = g if isinstance(g, nc.Tensor) else nc.Tensor(g)
-    if x.shape[-1] != g.shape[-1]:
-        raise ContractError(
-            f"feature dim {x.shape[-1]} does not match gate dim {g.shape[-1]}")
-    if (g.data < 0.0).any() or (g.data > 1.0).any():
-        raise ContractError("gate values must lie in [0, 1]")
+def frequency_correct(x: nc.Tensor, g: nc.Tensor) -> nc.Tensor:
+    """Blend raw and normalized features: x' = g * layer_norm(x) + (1 - g) * x,
+    for a gate g in [0, 1] that broadcasts against x."""
     return g * nc.layer_norm(x) + (1.0 - g) * x

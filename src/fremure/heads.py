@@ -191,9 +191,6 @@ class GmmPlusHead(Head):
 
     def logits_and_variance(self, z: nc.Tensor, rng: nc.Rng | None = None,
                             training: bool = False):
-        if z.shape[-1] != self.proj.w.shape[0]:
-            raise ContractError(f"embedding dim {z.shape[-1]} != head input dim "
-                                f"{self.proj.w.shape[0]}")
         raw = self.proj(z)                       # (..., C) scalar class scores
         scores = nc.reshape(raw, raw.shape + (1,))
         means = self.perturbed_means(rng, training)
@@ -209,9 +206,6 @@ class GmmPlusHead(Head):
         """lam * sum_c w_c sum_k max(0, sigma_target^2 - var_{c,k}) with
         w_c = log(1/(f_c + eps)) normalized to sum 1: rare classes pay more
         for narrow components."""
-        if prior.n_classes != self.n_classes:
-            raise ContractError(f"prior covers {prior.n_classes} classes, "
-                                f"head has {self.n_classes}")
         if self.lam == 0.0:
             return nc.Tensor(0.0)
         raw = prior.log_inverse()
@@ -220,12 +214,11 @@ class GmmPlusHead(Head):
         return self.lam * (weights * hinge.sum(axis=-1)).sum()
 
 
+_HEADS = {"linear": LinearHead, "bayesian": BayesianHead, "gmm_plus": GmmPlusHead}
+
+
 def build_head(kind: str, d: int, n_classes: int, rng: nc.Rng, mode: str,
                **kwargs) -> Head:
-    if kind == "linear":
-        return LinearHead(d, n_classes, rng, mode)
-    if kind == "bayesian":
-        return BayesianHead(d, n_classes, rng, mode, **kwargs)
-    if kind == "gmm_plus":
-        return GmmPlusHead(d, n_classes, rng, mode, **kwargs)
-    raise ContractError(f"unknown head kind '{kind}'")
+    """The head of ``kind``, one of `model.HEAD_KINDS`, taking the settings
+    `model.ModelConfig.head_kwargs` gives it."""
+    return _HEADS[kind](d, n_classes, rng, mode, **kwargs)

@@ -33,7 +33,7 @@ from .data_metrics import Split, group_clips, label_counts, rank_recalls
 # the benchmark's tracer (bench/tracing.py) wraps these names in this module
 from .data_metrics import mean_recall_at_k, recall_at_k  # noqa: F401
 from .dpeg import Dpeg, WindowConfig, clip_layout, encode_stacked, stack_tasks
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, Validated
 from .freqgate import FrequencyPrior
 from .heads import build_head
 from .numcore import Tensor
@@ -57,7 +57,7 @@ class AblationFlags:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Validated):
     raw_dim: int = 16
     d: int = 64
     h: int = 4
@@ -105,11 +105,6 @@ class ModelConfig:
         if self.multilabel_loss not in MULTILABEL_LOSSES:
             out.append(f"multilabel_loss must be one of {MULTILABEL_LOSSES}")
         return out
-
-    def validate(self):
-        problems = self.problems()
-        if problems:
-            raise ContractError("; ".join(problems))
 
     def class_counts(self) -> dict:
         return {"attn": self.attn_classes, "spat": self.spat_classes,
@@ -171,13 +166,7 @@ def _check_json_types(cls, doc: dict, prefix: str):
 def loss_attention(logits: Tensor, targets) -> Tensor:
     """Single-label cross-entropy -log softmax(logits)[target], averaged over
     rows: (C,) logits take one target, (N, C) logits N of them."""
-    n = logits.shape[-1]
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != logits.shape[:-1]:
-        raise ContractError(f"target shape {targets.shape} != logit rows "
-                            f"{logits.shape[:-1]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= n):
-        raise ContractError(f"target outside [0, {n})")
     rows = tuple(np.indices(targets.shape))     # none for (C,) logits
     return -nc.log_softmax(logits)[rows + (targets,)].mean()
 
@@ -185,10 +174,7 @@ def loss_attention(logits: Tensor, targets) -> Tensor:
 def loss_multilabel_bce(logits: Tensor, targets) -> Tensor:
     """Mean binary cross-entropy with logits, in the softplus form
     softplus(x) - x*y that never exponentiates a positive argument."""
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ContractError(f"target shape {y.shape} != logit shape {logits.shape}")
-    return (nc.softplus(logits) - Tensor(y) * logits).mean()
+    return (nc.softplus(logits) - Tensor(targets) * logits).mean()
 
 
 def _margin_rows(probs: Tensor, bits: np.ndarray) -> Tensor:
@@ -228,10 +214,6 @@ class _RowStreams:
         return _RowStreams([r.spawn(key) for r in self.rngs], self.sizes)
 
     def normals(self, shape) -> np.ndarray:
-        shape = tuple(shape)
-        if len(shape) < 2 or shape[-2] != sum(self.sizes):
-            raise ContractError(f"a draw of shape {shape} has no row axis of "
-                                f"{sum(self.sizes)} rows")
         return np.concatenate([r.normals(shape[:-2] + (n, shape[-1]))
                                for r, n in zip(self.rngs, self.sizes)], axis=-2)
 
@@ -263,22 +245,23 @@ class FremureModel(nc.Module):
                       for i, t in enumerate(TYPES)}
         self.set_priors({t: np.ones(c) for t, c in counts.items()})
 
-    def set_priors(self, counts: dict):
-        """Install per-task label counts (usually from the training split)."""
+    def set_priors(self, counts: dict, key: str = "{} prior"):
+        """Install per-task label counts (usually from the training split).
+        This is where priors meet the model: counts of another class count,
+        or that `FrequencyPrior` rejects, raise ContractError naming
+        ``key.format(task)``."""
         expected = self.cfg.class_counts()
         for t in TYPES:
             got = np.asarray(counts[t], dtype=np.float64)
             if got.shape != (expected[t],):
-                raise ContractError(f"{t} counts have shape {got.shape}, "
-                                    f"expected ({expected[t]},)")
-        self.priors = {t: FrequencyPrior(counts[t]) for t in TYPES}
+                raise ContractError(f"{key.format(t)} must hold {expected[t]} "
+                                    f"counts, got shape {got.shape}")
+        self.priors = {t: FrequencyPrior(counts[t], key.format(t)) for t in TYPES}
         self.global_prior = FrequencyPrior(
             np.concatenate([self.priors[t].counts for t in TYPES]))
 
     def _split(self, clip) -> Split:
-        """``clip`` if a `Split`, else the Split of its records in order."""
-        if isinstance(clip, Split):
-            return clip
+        """The `Split.of` ``clip``, a Split or records in order, for this model."""
         return Split.of(clip, self.cfg.raw_dim, self.cfg.class_counts())
 
     def forward(self, clip, rng=None, training: bool = False):
@@ -308,7 +291,7 @@ class FremureModel(nc.Module):
             rng = _RowStreams(rng, sizes.tolist())
         elif sizes.size > 1:
             raise ContractError(f"{sizes.size} clips need a list of one Rng each")
-        layout = clip_layout(view.frame, _codes(view.subj, view.obj),
+        layout = clip_layout(view.frame, view.subj, view.obj,
                              np.repeat(np.arange(sizes.size), sizes))
         embeds = self._embed(view.feat, layout)
 
@@ -480,12 +463,11 @@ def predict_clips(model: FremureModel, split: Split, rng: nc.Rng) -> Predictions
 
 def clip_split(records, cfg: ModelConfig) -> Split:
     """The `Split` of ``records`` in `group_clips` order, checked against
-    ``cfg``'s feature width and class counts; ``records`` itself if it is
-    such a Split already."""
-    if isinstance(records, Split):
-        return records
-    return Split.of([rec for clip in group_clips(records) for rec in clip],
-                    cfg.raw_dim, cfg.class_counts())
+    ``cfg``'s feature width and class counts; ``records`` itself, so checked,
+    if it is such a Split already."""
+    if not isinstance(records, Split):
+        records = [rec for clip in group_clips(records) for rec in clip]
+    return Split.of(records, cfg.raw_dim, cfg.class_counts())
 
 
 def evaluate(model: FremureModel, records, ks, constraint: bool, seed: int) -> dict:
@@ -508,7 +490,7 @@ def evaluate(model: FremureModel, records, ks, constraint: bool, seed: int) -> d
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Validated):
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -542,7 +524,8 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
     (records, configs, seed). Returns (model, per-epoch history rows); with
     validation records, each row also carries that epoch's mR@K and R@K.
     Either set of records may be given as its `clip_split`; both are checked
-    against ``mcfg`` before the first step."""
+    against ``mcfg`` before the first step, after ``tcfg`` is validated."""
+    tcfg.validate()
     split = clip_split(train_records, mcfg)
     val = clip_split(val_records, mcfg) if val_records else None
     root = nc.Rng(seed)
@@ -626,7 +609,8 @@ def model_from_checkpoint(doc: dict) -> FremureModel:
         if not isinstance(doc[key], dict):
             raise ContractError(f"checkpoint '{key}' must be an object")
     model = FremureModel(cfg, nc.Rng(seed).spawn(0))
-    model.set_priors({t: _numbers(priors.get(t), f"priors.{t}") for t in TYPES})
+    model.set_priors({t: _numbers(priors.get(t), f"priors.{t}") for t in TYPES},
+                     "checkpoint 'priors.{}'")
     params = model.parameters()
     missing = next((key for key in params if key not in stored), None)
     unexpected = next((key for key in stored if key not in params), None)

@@ -740,8 +740,6 @@ class Rng:
     * standard normal: Box-Muller on consecutive uniform pairs (u1, u2),
       ``r = sqrt(-2 ln u1)``, emitting ``r*cos(2 pi u2)`` then
       ``r*sin(2 pi u2)``; a trailing odd draw discards the sine term;
-    * integers:        ``raw mod bound`` (modulo bias is negligible for the
-      small bounds used here);
     * spawn(key):      child seed = ``mix64(seed + (key + 1) * GOLDEN)``,
       giving independent streams per (seed, key).
     """
@@ -768,11 +766,6 @@ class Rng:
         n = int(np.prod(shape)) if shape else 1
         pairs = (n + 1) // 2
         return box_muller(self.uniforms(2 * pairs))[:n].reshape(shape)
-
-    def integers(self, bound: int, n: int = 1) -> np.ndarray:
-        if bound <= 0:
-            raise ContractError("integer bound must be positive")
-        return (self.raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         # Fisher-Yates driven by the raw stream.

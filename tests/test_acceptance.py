@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from draws import integers
 from fremure import dpeg
 from fremure import heads as fh
 from fremure import model as fm
@@ -265,32 +266,32 @@ def test_criterion_5_recall_matches_brute_force_exactly():
     checked = 0
     for i in range(200):
         rng = nc.Rng(900 + i)
-        n_cls = 3 + int(rng.integers(10)[0])
-        types = rng.integers(3, n_cls)
+        n_cls = 3 + int(integers(rng, 10)[0])
+        types = integers(rng, 3, n_cls)
         preds, gt = {}, {}
-        for fidx in range(1 + int(rng.integers(3)[0])):
+        for fidx in range(1 + int(integers(rng, 3)[0])):
             key = (i, fidx)
             trips = set()
-            goal = 5 + int(rng.integers(25)[0])
+            goal = 5 + int(integers(rng, 25)[0])
             while len(trips) < goal:
-                trips.add((int(rng.integers(4)[0]), int(rng.integers(4)[0]),
-                           int(rng.integers(n_cls)[0])))
+                trips.add((int(integers(rng, 4)[0]), int(integers(rng, 4)[0]),
+                           int(integers(rng, n_cls)[0])))
             preds[key] = [(s, o, c, float(np.floor(rng.uniforms(1)[0] * 8) / 8))
                           for s, o, c in sorted(trips)]
             pool = sorted(trips)
             want = set()
-            while len(want) < 1 + int(rng.integers(5)[0]):
+            while len(want) < 1 + int(integers(rng, 5)[0]):
                 if rng.uniforms(1)[0] < 0.5:
-                    want.add(pool[int(rng.integers(len(pool))[0])])
+                    want.add(pool[int(integers(rng, len(pool))[0])])
                 else:
-                    want.add((int(rng.integers(4)[0]), int(rng.integers(4)[0]),
-                              int(rng.integers(n_cls)[0])))
+                    want.add((int(integers(rng, 4)[0]), int(integers(rng, 4)[0]),
+                              int(integers(rng, n_cls)[0])))
             gt[key] = sorted(want)
             if rng.uniforms(1)[0] < 0.10:
                 del preds[key]      # frame with no predictions at all
         if rng.uniforms(1)[0] < 0.15:
             gt[(i, 99)] = []        # frame with nothing to find
-        k = (1, 2, 3, 5, 10, 20)[int(rng.integers(6)[0])]
+        k = (1, 2, 3, 5, 10, 20)[int(integers(rng, 6)[0])]
         constraint = bool(i % 2)
         types_arg = None if rng.uniforms(1)[0] < 0.2 else types
 

@@ -545,6 +545,31 @@ def test_eval_checkpoint_of_the_per_task_trunk_layout_names_its_keys(trained, tm
     assert not evaldir.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+@pytest.mark.parametrize("bad, problem", [
+    (lambda counts: counts[:-1], "must hold 3 counts, got shape (2,)"),
+    (lambda counts: [0] * len(counts), "must hold at least one positive count"),
+    (lambda counts: [-1] + counts[1:], "must hold no negative count")],
+    ids=["one-short", "all-zero", "negative"])
+def test_checkpoint_prior_of_bad_counts_names_its_key(trained, tmp_path, capsys,
+                                                      command, bad, problem):
+    # set_priors is where a checkpoint's priors meet the model: a count vector
+    # of another length, or one no frequency prior can be made of, exits 1
+    # naming the file and the key, as a non-number entry does
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    doc["priors"]["spat"] = bad(doc["priors"]["spat"])
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main([command, "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert (f"contract error: {ckpt}: checkpoint 'priors.spat' {problem}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_head_or_tail_bucket_without_classes_is_null(tmp_path):
     # one test record: no class of the head bucket occurs in its labels, so
     # that bucket has no mean recall to report

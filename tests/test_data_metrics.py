@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from draws import integers
 from fremure import data_metrics as dm
 from fremure import numcore as nc
 from fremure.cli import main
@@ -159,13 +160,13 @@ def _reference_split(cfg, n_clips, clip_base, protos, rng, taken):
 
                 flips = [rng.uniforms(1)[0] <= cfg.flip]
                 if flips[-1]:
-                    attn = int(rng.integers(cfg.attn_classes)[0])
+                    attn = int(integers(rng, cfg.attn_classes)[0])
                 flips.append(rng.uniforms(1)[0] <= cfg.flip)
                 if flips[-1]:
-                    spat = {int(rng.integers(cfg.spat_classes)[0])}
+                    spat = {int(integers(rng, cfg.spat_classes)[0])}
                 flips.append(rng.uniforms(1)[0] <= cfg.flip)
                 if flips[-1]:
-                    cont = {int(rng.integers(cfg.cont_classes)[0])}
+                    cont = {int(integers(rng, cfg.cont_classes)[0])}
                 for kind, flipped in zip(("flip_attn", "flip_spat", "flip_cont"), flips):
                     taken[kind, flipped] += 1
 
@@ -392,8 +393,8 @@ def test_recall_contract_errors():
 
 def test_recall_monotone_in_k():
     rng = nc.Rng(60)
-    entries = [(int(rng.integers(3)[0]), 3 + int(rng.integers(3)[0]),
-                int(rng.integers(8)[0]), float(rng.uniforms(1)[0]))
+    entries = [(int(integers(rng, 3)[0]), 3 + int(integers(rng, 3)[0]),
+                int(integers(rng, 8)[0]), float(rng.uniforms(1)[0]))
                for _ in range(40)]
     gt = {("c", 0): [(0, 3, 1), (1, 4, 2), (2, 5, 7)]}
     preds = {("c", 0): entries}
@@ -423,16 +424,16 @@ def test_recall_constraint_keeps_best_predicate_per_pair_type():
 
 
 def _random_instance(rng, max_preds=60):
-    n = 1 + int(rng.integers(max_preds)[0])
+    n = 1 + int(integers(rng, max_preds)[0])
     entries = []
     for _ in range(n):
-        s = int(rng.integers(4)[0])
-        o = 4 + int(rng.integers(4)[0])
-        c = int(rng.integers(10)[0])
+        s = int(integers(rng, 4)[0])
+        o = 4 + int(integers(rng, 4)[0])
+        c = int(integers(rng, 10)[0])
         score = round(float(rng.uniforms(1)[0]), 2)  # coarse grid forces ties
         entries.append((s, o, c, score))
-    gt = {(int(rng.integers(4)[0]), 4 + int(rng.integers(4)[0]),
-           int(rng.integers(10)[0])) for _ in range(1 + int(rng.integers(6)[0]))}
+    gt = {(int(integers(rng, 4)[0]), 4 + int(integers(rng, 4)[0]),
+           int(integers(rng, 10)[0])) for _ in range(1 + int(integers(rng, 6)[0]))}
     return entries, gt
 
 
@@ -442,7 +443,7 @@ def test_recall_matches_brute_force_on_200_instances():
     for trial in range(200):
         entries, gt = _random_instance(rng)
         constraint = trial % 2 == 1
-        k = 1 + int(rng.integers(20)[0])
+        k = 1 + int(integers(rng, 20)[0])
         preds = {("c", 0): entries}
         gts = {("c", 0): sorted(gt)}
         got = dm.recall_at_k(preds, gts, k, constraint=constraint,
@@ -504,15 +505,15 @@ def test_all_k_ranking_equals_per_k_calls_on_random_frames():
     removed = 0
     for trial in range(60):
         preds, gt = {}, {}
-        for f in range(1 + int(rng.integers(4)[0])):
-            pairs = [(int(rng.integers(3)[0]), 3 + int(rng.integers(3)[0]))
-                     for _ in range(1 + int(rng.integers(3)[0]))]
+        for f in range(1 + int(integers(rng, 4)[0])):
+            pairs = [(int(integers(rng, 3)[0]), 3 + int(integers(rng, 3)[0]))
+                     for _ in range(1 + int(integers(rng, 3)[0]))]
             pairs.append(pairs[0])     # two records of one (subj, obj)
             # quarter steps make score ties common
             entries = [(s, o, c, float(np.floor(rng.uniforms(1)[0] * 4) / 4))
                        for s, o in pairs for c in range(10)]
             truth = {e[:3] for e in entries if rng.uniforms(1)[0] < 0.15}
-            truth.add((5, 9, int(rng.integers(10)[0])))     # never scored
+            truth.add((5, 9, int(integers(rng, 10)[0])))     # never scored
             gt[("c", f)] = sorted(truth)
             if rng.uniforms(1)[0] < 0.85:
                 preds[("c", f)] = entries    # else a frame with no predictions
@@ -575,7 +576,7 @@ def test_stratified_single_class():
 
 def test_stratified_buckets_match_direct_sort():
     rng = nc.Rng(62)
-    counts = 1.0 + rng.integers(100, n=10).astype(float)
+    counts = 1.0 + integers(rng, 100, n=10).astype(float)
     recalls = {c: float(rng.uniforms(1)[0]) for c in range(10)}
     prior = FrequencyPrior(counts)
     report = dm.frequency_stratified_report(recalls, prior)

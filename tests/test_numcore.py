@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draws import integers
 from fremure import numcore as nc
 from fremure.errors import ContractError
 from gradcheck import finite_diff_check
@@ -632,7 +633,7 @@ def test_identical_seeds_bit_identical_streams():
     a, b = nc.Rng(31337), nc.Rng(31337)
     assert np.array_equal(a.uniforms(64), b.uniforms(64))
     assert np.array_equal(a.normals((3, 4)), b.normals((3, 4)))
-    assert np.array_equal(a.integers(10, 20), b.integers(10, 20))
+    assert np.array_equal(integers(a, 10, 20), integers(b, 10, 20))
 
 
 def test_spawn_gives_distinct_deterministic_children():
@@ -668,7 +669,7 @@ def test_permutation_is_a_permutation():
 
 def test_integers_requires_positive_bound():
     with pytest.raises(ContractError):
-        nc.Rng(1).integers(0)
+        integers(nc.Rng(1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -185,16 +185,23 @@ def _definitions(paths) -> dict:
     return out
 
 
-def _code_lines(path) -> list:
+def _code_lines(path, strings: bool) -> list:
     """The lines of ``path`` with every comment and docstring blanked and
     line numbers kept: prose that mentions a name does not use it. Other
-    string literals stay, since the tracer names its targets in strings."""
+    string literals stay if ``strings`` holds, for the benchmark, whose
+    tracer names its targets in strings; in the program, text such as an
+    error message names no use either."""
     text = path.read_text()
     lines = io.StringIO(text).readlines()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type == tokenize.COMMENT:
-            (row, col), (_, end) = tok.start, tok.end
-            lines[row - 1] = lines[row - 1][:col] + lines[row - 1][end:]
+        if tok.type == tokenize.COMMENT or (tok.type == tokenize.STRING and not strings):
+            # spaces in place of the token keep later columns of its lines
+            (first, col), (last, end) = tok.start, tok.end
+            for row in range(first, last + 1):
+                line = lines[row - 1]
+                lo = col if row == first else 0
+                hi = end if row == last else len(line.rstrip("\n"))
+                lines[row - 1] = line[:lo] + " " * (hi - lo) + line[hi:]
     for node in ast.walk(ast.parse(text)):
         body = getattr(node, "body", None)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and body \
@@ -208,12 +215,13 @@ def _code_lines(path) -> list:
 
 def test_every_program_name_is_used_outside_the_tests():
     # a name counts as used when it appears as a whole word in the code (not
-    # a comment or docstring) of the program or the benchmark, outside the
-    # body of every definition of that name: a function that only names
-    # itself (a recursive call, its own error message) is not used
+    # a comment, docstring or, in the program, other string literal) of the
+    # program or the benchmark, outside the body of every definition of that
+    # name: a function that only names itself (a recursive call) is not used
     src = sorted((ROOT / "src" / "fremure").glob("*.py"))
-    lines = [(path, i, line) for path in src + sorted((ROOT / "bench").glob("*.py"))
-             for i, line in enumerate(_code_lines(path), start=1)]
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    lines = [(path, i, line) for path in src + bench
+             for i, line in enumerate(_code_lines(path, path in bench), start=1)]
     unused = []
     for name, sites in sorted(_definitions(src).items()):
         word = re.compile(rf"\b{name}\b")
