@@ -23,6 +23,7 @@ the shared trunk.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -569,11 +570,23 @@ def train(train_records, mcfg: ModelConfig, tcfg: TrainConfig, seed: int,
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _tensor_entry(arr: np.ndarray, key: str) -> dict:
+    """``arr`` as a checkpoint entry: its shape, and its little-endian
+    IEEE-754 float64 bytes in C order as base64 text. JSON's own check cannot
+    see inside those bytes, so a non-finite value raises NumericalError
+    naming ``key`` here."""
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"checkpoint '{key}' not written: non-finite value")
+    return {"shape": list(arr.shape),
+            "f64le": base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode()}
+
+
 def checkpoint_dict(model: FremureModel, epoch: int, seed: int) -> dict:
     return {
         "config": asdict(model.cfg),
         "priors": {t: model.priors[t].counts.tolist() for t in TYPES},
-        "parameters": {k: p.data.tolist() for k, p in model.parameters().items()},
+        "parameters": {k: _tensor_entry(p.data, f"parameters.{k}")
+                       for k, p in model.parameters().items()},
         "epoch": int(epoch),
         "seed": int(seed),
     }
@@ -595,6 +608,35 @@ def _numbers(value, key: str) -> np.ndarray:
     return arr
 
 
+def _tensor(entry, shape: tuple, key: str) -> np.ndarray:
+    """The writable float64 array of shape ``shape`` that the checkpoint
+    entry ``entry`` holds (see `_tensor_entry`); ContractError naming
+    ``key`` unless the entry has exactly that form, shape and byte count,
+    and only finite values."""
+    if not isinstance(entry, dict) or set(entry) != {"shape", "f64le"}:
+        raise ContractError(f"checkpoint '{key}' must be an object with exactly "
+                            "the keys 'shape' and 'f64le'")
+    dims = entry["shape"]
+    if not isinstance(dims, list) or any(type(n) is not int or n < 0 for n in dims):
+        raise ContractError(f"checkpoint '{key}' must have a 'shape' list of "
+                            "non-negative integers")
+    if tuple(dims) != shape:
+        raise ContractError(f"checkpoint shape {tuple(dims)} != expected {shape} "
+                            f"for '{key}'")
+    try:
+        raw = base64.b64decode(entry["f64le"], validate=True)
+    except (TypeError, ValueError) as exc:      # binascii.Error is a ValueError
+        raise ContractError(f"checkpoint '{key}' must have an 'f64le' string of "
+                            f"base64 ({exc})")
+    if len(raw) != 8 * math.prod(shape):
+        raise ContractError(f"checkpoint '{key}' must hold 8 bytes per value of "
+                            f"shape {shape}, got {len(raw)} bytes")
+    arr = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ContractError(f"checkpoint '{key}' must hold only finite numbers")
+    return arr
+
+
 def model_from_checkpoint(doc: dict) -> FremureModel:
     missing = [k for k in ("config", "priors", "parameters", "seed")
                if k not in doc]
@@ -608,6 +650,10 @@ def model_from_checkpoint(doc: dict) -> FremureModel:
     for key in ("priors", "parameters"):
         if not isinstance(doc[key], dict):
             raise ContractError(f"checkpoint '{key}' must be an object")
+    stray = next((key for key in priors if key not in TYPES), None)
+    if stray is not None:
+        raise ContractError(f"checkpoint 'priors.{stray}' is not a task "
+                            f"(expected one of {', '.join(TYPES)})")
     model = FremureModel(cfg, nc.Rng(seed).spawn(0))
     model.set_priors({t: _numbers(priors.get(t), f"priors.{t}") for t in TYPES},
                      "checkpoint 'priors.{}'")
@@ -619,9 +665,5 @@ def model_from_checkpoint(doc: dict) -> FremureModel:
                             f"architecture (first missing: {missing}; first "
                             f"unexpected: {unexpected})")
     for key, p in params.items():
-        arr = _numbers(stored[key], f"parameters.{key}")
-        if arr.shape != p.data.shape:
-            raise ContractError(f"checkpoint shape {arr.shape} != expected "
-                                f"{p.data.shape} for '{key}'")
-        p.data = arr
+        p.data = _tensor(stored[key], p.data.shape, f"parameters.{key}")
     return model

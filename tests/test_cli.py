@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line layer: config parsing, the five
 subcommands, exit codes, and byte-level determinism of the written artifacts."""
 
+import base64
 import hashlib
 import json
 import os
+import re
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fremure import cli
 from fremure import numcore as nc
 from fremure import model as fm
 from fremure import ConfigError, NumericalError
@@ -47,6 +50,17 @@ def _json(path):
 
 def _jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def _values(entry) -> np.ndarray:
+    """The values of a checkpoint parameter entry, read as README shows."""
+    return np.frombuffer(base64.b64decode(entry["f64le"]), "<f8").reshape(entry["shape"])
+
+
+def _entry(values) -> dict:
+    """``values`` as a checkpoint parameter entry: shape and base64 bytes."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(arr.tobytes()).decode()}
 
 
 def _reject_constant(name):
@@ -221,6 +235,24 @@ def test_train_non_finite_loss_aborts_with_code_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["train", "--config", cfg, "--out", outdir]) == 3
     assert "non-finite loss at epoch 0, step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_non_finite_parameter_writes_no_checkpoint(tmp_path, capsys, monkeypatch,
+                                                         value):
+    # JSON's own check cannot see inside a parameter's bytes, so
+    # checkpoint_dict refuses the value before the file is opened
+    def diverged(*args, **kwargs):
+        model, history = fm.train(*args, **kwargs)
+        model.parameters()["heads.attn.bias"].data[0] = value
+        return model, history
+
+    monkeypatch.setattr(cli, "train", diverged)
+    cfg, outdir = _gen(tmp_path)
+    assert main(["train", "--config", cfg, "--out", outdir]) == 3
+    assert ("numerical abort: checkpoint 'parameters.heads.attn.bias' not written: "
+            "non-finite value") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(outdir, "checkpoint.json"))
 
 
 def test_train_manifest_records_the_ks_and_constraint_that_ran(tmp_path):
@@ -499,6 +531,8 @@ def test_eval_checkpoint_string_value_names_its_key(trained, tmp_path, capsys,
         doc["seed"] = "x"
     else:
         section = doc[key][named.split(".", 1)[1]]
+        # a parameter entry's numbers outside its bytes are its shape's
+        section = section["shape"] if key == "parameters" else section
         section[0] = "x"
     ckpt = tmp_path / "bad.json"
     ckpt.write_text(json.dumps(doc))
@@ -515,7 +549,12 @@ def test_eval_checkpoint_non_finite_value_names_file_and_key(trained, tmp_path, 
     _, outdir = trained
     doc = _json(os.path.join(outdir, "checkpoint.json"))
     section, name = key.split(".", 1)
-    doc[section][name][0] = float("nan")
+    if section == "parameters":
+        values = _values(doc[section][name]).copy()
+        values[0] = float("nan")
+        doc[section][name] = _entry(values)
+    else:
+        doc[section][name][0] = float("nan")
     ckpt = tmp_path / "nan.json"
     ckpt.write_text(json.dumps(doc))
     rc = main(["eval", "--checkpoint", str(ckpt),
@@ -532,7 +571,8 @@ def test_eval_checkpoint_of_the_per_task_trunk_layout_names_its_keys(trained, tm
     # weight hold per-task names such as trunks.attn.proj.w
     _, outdir = trained
     doc = _json(os.path.join(outdir, "checkpoint.json"))
-    doc["parameters"]["trunks.attn.proj.w"] = doc["parameters"].pop("trunk.proj.w")[0]
+    doc["parameters"]["trunks.attn.proj.w"] = _entry(
+        _values(doc["parameters"].pop("trunk.proj.w"))[0])
     ckpt = tmp_path / "old.json"
     ckpt.write_text(json.dumps(doc))
     evaldir = tmp_path / "ev10"
@@ -570,6 +610,111 @@ def test_checkpoint_prior_of_bad_counts_names_its_key(trained, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_checkpoint_prior_of_no_task_names_its_key(trained, tmp_path, capsys, command):
+    # a priors key that is no task is refused, as an unknown parameter name is
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    doc["priors"]["bogus"] = doc["priors"]["spat"]
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main([command, "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert (f"contract error: {ckpt}: checkpoint 'priors.bogus' is not a task "
+            "(expected one of attn, spat, cont)" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+_FORM = "checkpoint '{key}' must be an object with exactly the keys 'shape' and 'f64le'"
+_SHAPE = "checkpoint '{key}' must have a 'shape' list of non-negative integers"
+_BASE64 = "checkpoint '{key}' must have an 'f64le' string of base64"
+
+MALFORMED = {
+    "list": (lambda e: _values(e).tolist(), _FORM),
+    "extra-key": (lambda e: {**e, "dtype": "<f8"}, _FORM),
+    "missing-key": (lambda e: {"f64le": e["f64le"]}, _FORM),
+    "shape-not-list": (lambda e: {**e, "shape": e["shape"][0]}, _SHAPE),
+    "shape-negative": (lambda e: {**e, "shape": [-1]}, _SHAPE),
+    "shape-bool": (lambda e: {**e, "shape": [True]}, _SHAPE),
+    "shape-float": (lambda e: {**e, "shape": [float(e["shape"][0])]}, _SHAPE),
+    "shape-other": (lambda e: {**e, "shape": [e["shape"][0] + 1]},
+                    "checkpoint shape ({n1},) != expected ({n},) for '{key}'"),
+    # characters a lax decoder would skip, leaving the right bytes
+    "not-base64": (lambda e: {**e, "f64le": "****" + e["f64le"]}, _BASE64),
+    "f64le-not-string": (lambda e: {**e, "f64le": 0}, _BASE64),
+    "byte-count": (lambda e: _entry(_values(e)[:-1]) | {"shape": e["shape"]},
+                   "checkpoint '{key}' must hold 8 bytes per value of shape ({n},), "
+                   "got {short} bytes"),
+    "non-finite": (lambda e: _entry(np.append(_values(e)[:-1], np.inf)),
+                   "checkpoint '{key}' must hold only finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_eval_malformed_parameter_entry_names_its_key(trained, tmp_path, capsys, case):
+    # a parameter is {"shape": [...], "f64le": <base64 of little-endian
+    # float64 bytes>}; any other form, shape, byte count or a non-finite
+    # value exits 1, naming the file and parameters.<name>
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    name = "heads.attn.bias"
+    breaks, problem = MALFORMED[case]
+    n = doc["parameters"][name]["shape"][0]
+    doc["parameters"][name] = breaks(doc["parameters"][name])
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"), "--out", str(out)])
+    assert rc == 1
+    problem = problem.format(key=f"parameters.{name}", n=n, n1=n + 1, short=8 * (n - 1))
+    assert f"contract error: {ckpt}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_nested_list_checkpoint_names_its_first_parameter(trained, tmp_path, capsys):
+    # checkpoints written before parameters were stored as bytes hold nested
+    # lists; they are refused naming the first parameter, and re-running
+    # train rebuilds them
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    first = next(iter(model_from_checkpoint(doc).parameters()))
+    doc["parameters"] = {k: _values(e).tolist() for k, e in doc["parameters"].items()}
+    ckpt = tmp_path / "old.json"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--data", os.path.join(outdir, "test.jsonl"), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"contract error: {ckpt}: checkpoint 'parameters.{first}' must be an object "
+            "with exactly the keys 'shape' and 'f64le'") in capsys.readouterr().err
+
+
+def test_readme_recipe_reads_each_parameter_of_a_checkpoint(trained):
+    # README's numpy recipe for one parameter, run as README spells it, gives
+    # the bytes model_from_checkpoint loads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    recipe = re.search(r'np\.frombuffer\(.*?\.reshape\(e\["shape"\]\)', readme).group(0)
+    assert recipe == 'np.frombuffer(base64.b64decode(e["f64le"]), "<f8").reshape(e["shape"])'
+    _, outdir = trained
+    doc = _json(os.path.join(outdir, "checkpoint.json"))
+    model = model_from_checkpoint(doc)
+    for name, p in model.parameters().items():
+        got = eval(recipe, {"np": np, "base64": base64, "e": doc["parameters"][name]})
+        assert got.shape == p.data.shape and got.tobytes() == p.data.tobytes(), name
+
+
+def test_default_checkpoint_is_at_most_3_6_mb_and_reads_back_bit_exact(tmp_path):
+    model = FremureModel(fm.ModelConfig(), nc.Rng(0).spawn(0))
+    path = tmp_path / "checkpoint.json"
+    _write_json(str(path), fm.checkpoint_dict(model, 0, 0))
+    assert path.stat().st_size <= 3.6e6
+    back = model_from_checkpoint(_json(path)).parameters()
+    for name, p in model.parameters().items():
+        assert back[name].data.tobytes() == p.data.tobytes(), name
+
+
 def test_eval_head_or_tail_bucket_without_classes_is_null(tmp_path):
     # one test record: no class of the head bucket occurs in its labels, so
     # that bucket has no mean recall to report
@@ -602,8 +747,8 @@ def test_eval_non_finite_uncertainty_aborts_with_code_3(tmp_path, capsys):
     cfg, outdir = _gen(tmp_path, **{"flags.head": "bayesian"})
     assert main(["train", "--config", cfg, "--out", outdir]) == 0
     doc = _json(os.path.join(outdir, "checkpoint.json"))
-    bias = doc["parameters"]["heads.spat.logvar.b"]
-    doc["parameters"]["heads.spat.logvar.b"] = [800.0] * len(bias)
+    bias = _values(doc["parameters"]["heads.spat.logvar.b"])
+    doc["parameters"]["heads.spat.logvar.b"] = _entry(np.full(bias.shape, 800.0))
     ckpt = tmp_path / "diverged.json"
     ckpt.write_text(json.dumps(doc))
     evaldir = tmp_path / "ev8"
@@ -936,21 +1081,21 @@ def test_seed_flag_overrides_config(tmp_path):
 PINNED_OUTPUTS = {
     "gmm_plus": ({}, {
         "metrics.csv": "ffc94aa7155ec0454364ce2ff068415a892643f41b58050462ba860bf6ff8683",
-        "checkpoint.json": "bcd8503c571e423f432d24e2ae821d7b1e51c0342e450e4d0bd1b5c18f69464c",
+        "checkpoint.json": "a655afd40311bf57277629ff405a1bf1651a1481a4aecd4d0b7e47ff1438ba95",
         "eval_report.json": "654435f1d2304b6af746eaf0144a84fcefc16c469543a0888a229f06f6944756",
         "eval_samples.jsonl": "f50c05642a27b1fa33cc09ffb8ddabaec2af6fc83688ffe091f25551b00ea19b",
     }),
     "bayesian-shared-margin": ({"flags.head": "bayesian", "flags.decouple": "false",
                                 "model.multilabel_loss": "margin", "train.epochs": 2}, {
         "metrics.csv": "46e8195fe519deb48ae8f4ade902561a8293770ae9893739f145e39b0d5bb484",
-        "checkpoint.json": "0b28ecb1c8eb928ceb9c1f561be28aae6e4b7d81a64bfac1969f0f8202e180d6",
+        "checkpoint.json": "43025a6840bbb80d02878455bb41efc60b1b78ec4f30086c6fe4fecc3b4226b3",
         "eval_report.json": "9cfac0bf390633313c8fb7001e0229ca491bf1f4b5362e1000848c6eb9df756a",
         "eval_samples.jsonl": "784f073c6bdb05d63474e7740deaf611c6291964d18f2495e2e1ceb4864d0dd3",
     }),
     "linear-no-frequency": ({"flags.head": "linear", "flags.frequency": "false",
                              "model.window_mode": "triangular"}, {
         "metrics.csv": "aa97e504fce808bc07445283f3d1f8e5634331c1147a9120f7868e1ccdf32899",
-        "checkpoint.json": "e0e663c340b19c2d3f56365237044db5ac8b44b95d148dfb72a70728a41378e5",
+        "checkpoint.json": "fb7ef87b243a7382d51426b6dd12880e605a2558315fadd0bfa1ed6cef4adbff",
         "eval_report.json": "0bda4fb64438d3add6230f80664a8d7e853260b15d4eb2a19b107f12888b76a3",
         "eval_samples.jsonl": "78e3d61fca2a10dff23ac4d7ed8d2b8cacbeaee880a21ea54a8698758ba6df6f",
     }),

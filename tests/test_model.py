@@ -1,6 +1,7 @@
 """Model assembly: loss operations, task isolation, gradient conflict,
 training determinism, and checkpoints."""
 
+import base64
 import hashlib
 import json
 import math
@@ -8,6 +9,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from draws import integers
 from fremure import dpeg
@@ -976,6 +980,33 @@ class TestEvalAndCheckpoint:
         dropped["parameters"].popitem()
         with pytest.raises(ContractError):
             M.model_from_checkpoint(dropped)
+
+
+_F64_EDGES = np.array([-0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                       np.finfo(np.float64).max, -np.finfo(np.float64).max])
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                max_side=5),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 10**6))
+@example(_F64_EDGES, np.nan, 0).via("-0.0, subnormals and +-max")
+def test_checkpoint_tensor_codec_is_bit_exact_and_refuses_non_finite(arr, bad, at):
+    # through JSON text, as a checkpoint file carries it
+    entry = json.loads(json.dumps(M._tensor_entry(arr, "parameters.w")))
+    back = M._tensor(entry, arr.shape, "parameters.w")
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes() and back.flags.writeable
+    if arr.size == 0:
+        return
+    broken = arr.copy()
+    broken.flat[at % arr.size] = bad
+    with pytest.raises(NumericalError, match="checkpoint 'parameters.w' not written"):
+        M._tensor_entry(broken, "parameters.w")
+    # the bytes of a non-finite value, written by hand, are refused at read
+    entry["f64le"] = base64.b64encode(broken.astype("<f8").tobytes()).decode()
+    with pytest.raises(ContractError, match="'parameters.w' must hold only finite"):
+        M._tensor(entry, arr.shape, "parameters.w")
 
 
 class TestFlatAdam:
